@@ -65,7 +65,6 @@ from .geocode import (
     GeocodeCache,
     Geocoder,
     RemoteGeocoder,
-    cache_stats,
     default_gazetteer,
     default_reverse_index,
     load_gazetteer,
@@ -478,7 +477,7 @@ def cmd_cache(cfg: SimpleNamespace, action: str) -> int:
     _require_paths(cfg, "cache")
     cache = GeocodeCache(cfg.cache)
     if action == "stats":
-        _print_summary({"command": "cache stats", **cache_stats(cache)})
+        _print_summary({"command": "cache stats", **cache.stats()})
     else:
         kept = cache.compact()
         _print_summary({"command": "cache compact", "path": cfg.cache, "entries": kept})
@@ -514,6 +513,10 @@ def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
         help="feature kinds to use, e.g. location+timezone (default: all six)",
     )
     parser.add_argument("--alpha", type=float, help="smoothing strength (default: 1.0)")
+    _add_case_fold_flag(parser)
+
+
+def _add_case_fold_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--case-fold",
         dest="case_fold",
@@ -591,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_flag(classify_p)
     _add_geocoder_flags(classify_p)
-    _add_feature_flags(classify_p)
+    # Kinds and alpha come from the model, so classify takes neither flag.
+    _add_case_fold_flag(classify_p)
     classify_p.set_defaults(handler=cmd_classify)
 
     evaluate_p = commands.add_parser("evaluate", help="seeded k-fold cross-validation")

@@ -246,6 +246,31 @@ def _base_config(
     return config
 
 
+def _restrict(
+    vectors: Sequence[FeatureVector], kinds: tuple[FeatureKind, ...]
+) -> list[FeatureVector]:
+    """Copies of the vectors holding only the given kinds."""
+    keep = set(kinds)
+    return [{kind: value for kind, value in vector.items() if kind in keep} for vector in vectors]
+
+
+def _predict(
+    train_vectors: Sequence[FeatureVector],
+    train_labels: Sequence[str],
+    eval_vectors: Sequence[FeatureVector],
+    kinds: tuple[FeatureKind, ...],
+    alpha: float,
+    uniform_priors: bool,
+) -> list[str]:
+    """Train on one labeled set and predict a country for each eval vector.
+
+    The only place in this module that trains and classifies: folds,
+    ablation rows and report columns all go through it.
+    """
+    model = train(zip(train_vectors, train_labels), alpha=alpha, enabled_kinds=kinds)
+    return [classify(model, vector, uniform_priors=uniform_priors) for vector in eval_vectors]
+
+
 def _run_folds(
     vectors: Sequence[FeatureVector],
     labels: Sequence[str],
@@ -256,28 +281,23 @@ def _run_folds(
     uniform_priors: bool,
     config: dict,
 ) -> EvaluationReport:
-    if orientation not in ("standard", "inverted"):
-        raise ValueError(f"unknown fold orientation {orientation!r}")
     pooled: list[tuple[str, str]] = []
     fold_accuracies: list[Fraction] = []
     fold_sizes: list[int] = []
     confusion: dict[str, dict[str, int]] = {}
     for fold in range(assignment.k):
-        if orientation == "standard":
-            train_indices = [i for i in range(assignment.n) if assignment.folds[i] != fold]
-            test_indices = assignment.indices_in(fold)
-        else:
-            train_indices = assignment.indices_in(fold)
-            test_indices = [i for i in range(assignment.n) if assignment.folds[i] != fold]
-        model = train(
-            ((vectors[i], labels[i]) for i in train_indices),
-            alpha=alpha,
-            enabled_kinds=kinds,
+        in_fold = assignment.indices_in(fold)
+        rest = [i for i in range(assignment.n) if assignment.folds[i] != fold]
+        train_indices, test_indices = (rest, in_fold) if orientation == "standard" else (in_fold, rest)
+        predictions = _predict(
+            [vectors[i] for i in train_indices],
+            [labels[i] for i in train_indices],
+            [vectors[i] for i in test_indices],
+            kinds,
+            alpha,
+            uniform_priors,
         )
-        fold_pairs = [
-            (classify(model, vectors[i], uniform_priors=uniform_priors), labels[i])
-            for i in test_indices
-        ]
+        fold_pairs = list(zip(predictions, (labels[i] for i in test_indices)))
         fold_accuracies.append(accuracy(fold_pairs))
         fold_sizes.append(len(fold_pairs))
         pooled.extend(fold_pairs)
@@ -314,30 +334,20 @@ def cross_validate(
 
     "standard" orientation trains on k-1 folds and tests on the held-out
     fold; "inverted" trains on a single fold and tests on the other k-1.
+    The result equals the single row of an ablation over [kinds].
     """
-    if not data.examples:
-        raise EmptyEvaluationSet("dataset has no examples")
-    labels = data.labels()
-    if len(set(labels)) < 2:
-        raise ValueError("cross-validation needs at least two distinct countries")
-    kinds_t = ordered_kinds(kinds)
-    assignment = kfold_split(len(labels), k, seed)
-    vectors = [
-        extract_features(tweet, geoparser, kinds_t, case_fold=case_fold)
-        for tweet, _ in data.examples
-    ]
-    echo = _base_config(
-        kinds=kinds_t,
-        alpha=alpha,
-        k=k,
-        seed=seed,
+    return ablate(
+        data,
+        [kinds],
+        k,
+        alpha,
+        seed,
+        geoparser,
         orientation=orientation,
         uniform_priors=uniform_priors,
         case_fold=case_fold,
-        source=data.source,
-        extra=config,
-    )
-    return _run_folds(vectors, labels, assignment, kinds_t, alpha, orientation, uniform_priors, echo)
+        config=config,
+    )[0].report
 
 
 @dataclass
@@ -371,11 +381,13 @@ def ablate(
     subset_list = [ordered_kinds(subset) for subset in subsets]
     if not subset_list:
         raise ValueError("no feature subsets given")
+    if orientation not in ("standard", "inverted"):
+        raise ValueError(f"unknown fold orientation {orientation!r}")
     if not data.examples:
         raise EmptyEvaluationSet("dataset has no examples")
     labels = data.labels()
     if len(set(labels)) < 2:
-        raise ValueError("ablation needs at least two distinct countries")
+        raise ValueError("cross-validation needs at least two distinct countries")
     union = ordered_kinds(kind for subset in subset_list for kind in subset)
     assignment = kfold_split(len(labels), k, seed)
     full_vectors = [
@@ -384,11 +396,6 @@ def ablate(
     ]
     rows: list[AblationRow] = []
     for subset in subset_list:
-        keep = set(subset)
-        vectors = [
-            {kind: value for kind, value in vector.items() if kind in keep}
-            for vector in full_vectors
-        ]
         echo = _base_config(
             kinds=subset,
             alpha=alpha,
@@ -400,14 +407,11 @@ def ablate(
             source=data.source,
             extra=config,
         )
-        rows.append(
-            AblationRow(
-                kinds=subset,
-                report=_run_folds(
-                    vectors, labels, assignment, subset, alpha, orientation, uniform_priors, echo
-                ),
-            )
+        vectors = _restrict(full_vectors, subset)
+        report = _run_folds(
+            vectors, labels, assignment, subset, alpha, orientation, uniform_priors, echo
         )
+        rows.append(AblationRow(kinds=subset, report=report))
     return rows
 
 
@@ -440,23 +444,28 @@ def collapse_dataset(data: LabeledDataset, region: Iterable[str]) -> LabeledData
     )
 
 
+def _parse_region(lines: Iterable[str], provenance: str) -> frozenset[str]:
+    """Parse region lines: one alpha-2 code per line, # comments allowed."""
+    codes: set[str] = set()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not is_country_code(line):
+            raise ValueError(f"{provenance}:{lineno}: invalid country code {line!r}")
+        if line == OTHER_LABEL:
+            raise ValueError(f"{provenance}:{lineno}: region must not contain the collapse label")
+        codes.add(line)
+    if not codes:
+        raise ValueError(f"{provenance}: region file has no codes")
+    return frozenset(codes)
+
+
 def load_region(path: str | Path) -> frozenset[str]:
     """Read a region file: one alpha-2 code per line, # comments allowed."""
     path = Path(path)
-    codes: set[str] = set()
     with path.open("r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not is_country_code(line):
-                raise ValueError(f"{path}:{lineno}: invalid country code {line!r}")
-            if line == OTHER_LABEL:
-                raise ValueError(f"{path}:{lineno}: region must not contain the collapse label")
-            codes.add(line)
-    if not codes:
-        raise ValueError(f"{path}: region file has no codes")
-    return frozenset(codes)
+        return _parse_region(handle, str(path))
 
 
 def default_region() -> frozenset[str]:
@@ -464,12 +473,7 @@ def default_region() -> frozenset[str]:
     from importlib import resources
 
     text = resources.files("tweetcountry").joinpath("data", "europe.txt").read_text("utf-8")
-    codes = {
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    }
-    return frozenset(codes)
+    return _parse_region(text.splitlines(), "bundled:europe.txt")
 
 
 @dataclass
@@ -533,33 +537,6 @@ class PerCountryReport:
         }
 
 
-def _fit_and_score(
-    train_vectors: Sequence[FeatureVector],
-    train_labels: Sequence[str],
-    eval_vectors: Sequence[FeatureVector],
-    kinds: tuple[FeatureKind, ...],
-    alpha: float,
-    uniform_priors: bool,
-) -> list[str]:
-    keep = set(kinds)
-    model = train(
-        (
-            ({kind: value for kind, value in vector.items() if kind in keep}, label)
-            for vector, label in zip(train_vectors, train_labels)
-        ),
-        alpha=alpha,
-        enabled_kinds=kinds,
-    )
-    return [
-        classify(
-            model,
-            {kind: value for kind, value in vector.items() if kind in keep},
-            uniform_priors=uniform_priors,
-        )
-        for vector in eval_vectors
-    ]
-
-
 def per_country_report(
     train_data: LabeledDataset,
     eval_data: LabeledDataset | None = None,
@@ -612,10 +589,20 @@ def per_country_report(
         ]
     eval_labels = eval_data.labels()
 
-    per_set_predictions = [
-        _fit_and_score(train_vectors, train_labels, eval_vectors, kinds, alpha, uniform_priors)
-        for kinds in sets
-    ]
+    collapsed_train = collapse_region(train_labels, region_set)
+    collapsed_eval = collapse_region(eval_labels, region_set)
+    per_set_predictions: list[list[str]] = []
+    region_accuracies: list[Fraction] = []
+    for kinds in sets:
+        train_set = _restrict(train_vectors, kinds)
+        eval_set = train_set if eval_vectors is train_vectors else _restrict(eval_vectors, kinds)
+        per_set_predictions.append(
+            _predict(train_set, train_labels, eval_set, kinds, alpha, uniform_priors)
+        )
+        region_predictions = _predict(
+            train_set, collapsed_train, eval_set, kinds, alpha, uniform_priors
+        )
+        region_accuracies.append(accuracy(list(zip(region_predictions, collapsed_eval))))
 
     counts: dict[str, int] = {}
     for label in eval_labels:
@@ -642,22 +629,6 @@ def per_country_report(
     average = tuple(summary_average(column) if column else 0.0 for column in percent_columns)
     stddev = tuple(summary_population_stddev(column) if column else 0.0 for column in percent_columns)
 
-    collapsed_train = collapse_region(train_labels, region_set)
-    collapsed_eval = collapse_region(eval_labels, region_set)
-    region_accuracies = tuple(
-        accuracy(
-            list(
-                zip(
-                    _fit_and_score(
-                        train_vectors, collapsed_train, eval_vectors, kinds, alpha, uniform_priors
-                    ),
-                    collapsed_eval,
-                )
-            )
-        )
-        for kinds in sets
-    )
-
     echo = {
         "kind_sets": [kinds_label(kinds) for kinds in sets],
         "alpha": alpha,
@@ -679,7 +650,7 @@ def per_country_report(
         average=average,
         stddev=stddev,
         region_name=region_name,
-        region_accuracies=region_accuracies,
+        region_accuracies=tuple(region_accuracies),
         region_n=len(eval_labels),
         min_count=min_count,
         omitted_countries=len(counts) - len(qualifying),

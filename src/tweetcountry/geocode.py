@@ -47,6 +47,8 @@ class Gazetteer:
 
     def __init__(self) -> None:
         self._entries: dict[str, tuple[str, str]] = {}
+        # Token count of the longest key; no longer span can equal a key.
+        self._max_tokens = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -69,6 +71,7 @@ class Gazetteer:
             )
         if existing is None:
             self._entries[key] = (country, provenance)
+            self._max_tokens = max(self._max_tokens, len(key.split()))
 
     def get(self, name: str) -> str | None:
         """Exact lookup of one normalized name."""
@@ -80,7 +83,8 @@ class Gazetteer:
 
         Tries the whole normalized query, then comma-separated segments, then
         contiguous token spans longest first and leftmost first, so the answer
-        is a single deterministic value.
+        is a single deterministic value. Spans longer than the longest key are
+        skipped, which keeps the cost linear in the query's token count.
         """
         key = normalize_place(query)
         if not key:
@@ -99,7 +103,7 @@ class Gazetteer:
         ]
         tokens = [token for token in tokens if token]
         count = len(tokens)
-        for length in range(count, 0, -1):
+        for length in range(min(count, self._max_tokens), 0, -1):
             for start in range(count - length + 1):
                 span = " ".join(tokens[start : start + length])
                 if span != key and (entry := self._entries.get(span)):
@@ -417,7 +421,3 @@ class Geocoder:
         self.cache.put(key, None, "points")
         return None
 
-
-def cache_stats(cache: GeocodeCache) -> dict:
-    """Counts of stored entries, negatives, and session hits and misses."""
-    return cache.stats()

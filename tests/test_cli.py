@@ -225,6 +225,18 @@ class TestClassify:
         )
         assert code == EXIT_MODEL
 
+    @pytest.mark.parametrize("flag", [["--kinds", "location"], ["--alpha", "0.5"]])
+    def test_model_settings_flags_rejected(self, tmp_path, model_file, capsys, flag):
+        # kinds and alpha come from the model; classify has no flag for either
+        raw = tmp_path / "raw.ndjson"
+        write_raw_corpus(raw)
+        argv = ["classify", "--input", str(raw), "--model", str(model_file)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--output", str(tmp_path / "o")] + flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestEvaluate:
     def test_perfect_separable_run(self, tmp_path, labeled_file, capsys):

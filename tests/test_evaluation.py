@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweetcountry.bayes import train
+from tweetcountry.bayes import classify, train
 from tweetcountry.errors import EmptyEvaluationSet, InvalidFoldCount, MalformedInput
 from tweetcountry.evaluation import (
     ABLATION_PRESETS,
@@ -42,7 +43,7 @@ from tweetcountry.evaluation import (
     write_evaluation_json,
     write_per_country_csv,
 )
-from tweetcountry.features import FeatureKind
+from tweetcountry.features import FeatureKind, extract_features
 from tweetcountry.tweet_model import OTHER_LABEL, TweetRecord
 
 from conftest import make_noise_corpus
@@ -196,16 +197,93 @@ class TestCrossValidate:
         assert 0.12 <= mean <= 0.28
 
 
+def make_mixed_corpus(seed: int = 11) -> LabeledDataset:
+    """Three countries with overlapping timezones and random offsets and
+    languages, so every feature subset makes some mistakes."""
+    rng = random.Random(seed)
+    examples = []
+    for index in range(90):
+        country = ("AA", "BB", "CC")[index % 3]
+        zone = country.lower() if rng.random() < 0.6 else rng.choice(("aa", "bb", "cc"))
+        record = TweetRecord(
+            id=str(index),
+            time_zone=zone,
+            utc_offset_seconds=rng.choice((0, 3600)),
+            user_language=rng.choice(("en", "nl")),
+        )
+        examples.append((record, country))
+    return LabeledDataset(examples, source=f"mixed:{seed}")
+
+
+def direct_folds(data, kinds, k, seed, orientation):
+    """Per-fold accuracies, pooled accuracy and confusion from train and
+    classify called on each fold directly, on unrestricted vectors."""
+    vectors = [extract_features(tweet) for tweet, _ in data.examples]
+    labels = data.labels()
+    folds = kfold_split(len(labels), k, seed).folds
+    fold_accuracies = []
+    pooled = []
+    confusion: dict[str, dict[str, int]] = {}
+    for fold in range(k):
+        held_out = [i for i, f in enumerate(folds) if f == fold]
+        rest = [i for i, f in enumerate(folds) if f != fold]
+        train_on, test_on = (rest, held_out) if orientation == "standard" else (held_out, rest)
+        model = train([(vectors[i], labels[i]) for i in train_on], enabled_kinds=kinds)
+        pairs = [(classify(model, vectors[i]), labels[i]) for i in test_on]
+        fold_accuracies.append(accuracy(pairs))
+        pooled.extend(pairs)
+        for predicted, true in pairs:
+            row = confusion.setdefault(true, {})
+            row[predicted] = row.get(predicted, 0) + 1
+    return tuple(fold_accuracies), accuracy(pooled), confusion
+
+
+def direct_same_set(data, kinds, region):
+    """Per-country accuracies and the region accuracy of a model scored on
+    its own training set, from train and classify called directly."""
+    vectors = [extract_features(tweet) for tweet, _ in data.examples]
+    labels = data.labels()
+    model = train(zip(vectors, labels), enabled_kinds=kinds)
+    predicted = [classify(model, vector) for vector in vectors]
+    per_country = {
+        country: Fraction(
+            sum(1 for p, t in zip(predicted, labels) if t == country and p == t),
+            labels.count(country),
+        )
+        for country in set(labels)
+    }
+    collapsed = [label if label in region else OTHER_LABEL for label in labels]
+    region_model = train(zip(vectors, collapsed), enabled_kinds=kinds)
+    region_accuracy = accuracy(
+        [(classify(region_model, vector), true) for vector, true in zip(vectors, collapsed)]
+    )
+    return per_country, region_accuracy
+
+
 class TestAblate:
     def test_rows_match_direct_cross_validation(self, separable_corpus):
         subsets = [(K.TIMEZONE,), (K.UTC_OFFSET,), (K.TIMEZONE, K.USER_LANGUAGE)]
-        rows = ablate(separable_corpus, subsets, k=5, seed=4)
-        assert [row.kinds for row in rows] == subsets
-        for row in rows:
-            direct = cross_validate(separable_corpus, k=5, kinds=row.kinds, seed=4)
-            assert row.report.pooled_accuracy == direct.pooled_accuracy
-            assert row.report.fold_accuracies == direct.fold_accuracies
-            assert row.report.confusion == direct.confusion
+        for data in (separable_corpus, make_mixed_corpus()):
+            for orientation in ("standard", "inverted"):
+                rows = ablate(data, subsets, k=5, seed=4, orientation=orientation)
+                assert [row.kinds for row in rows] == subsets
+                for row in rows:
+                    fold_accuracies, pooled, confusion = direct_folds(
+                        data, row.kinds, 5, 4, orientation
+                    )
+                    single = cross_validate(
+                        data, k=5, kinds=row.kinds, seed=4, orientation=orientation
+                    )
+                    for report in (row.report, single):
+                        assert report.fold_accuracies == fold_accuracies
+                        assert report.pooled_accuracy == pooled
+                        assert report.confusion == confusion
+            # the same-set report column and region row, one case per subset
+            report = per_country_report(data, kind_sets=subsets, min_count=1, region={"AA"})
+            for column, kinds in enumerate(subsets):
+                per_country, region_accuracy = direct_same_set(data, kinds, {"AA"})
+                assert {row.country: row.accuracies[column] for row in report.rows} == per_country
+                assert report.region_accuracies[column] == region_accuracy
 
     def test_preset_order_preserved(self, separable_corpus):
         rows = ablate(separable_corpus, ABLATION_PRESETS["table1"], k=5)

@@ -5,9 +5,13 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetcountry.errors import ConflictingEntry, InvalidQuery, RemoteUnavailable
+from tweetcountry.features import normalize_place
 from tweetcountry.geocode import (
+    _TOKEN_TRIM,
     DEFAULT_MAX_DISTANCE_KM,
     NEGATIVE_MARK,
     Gazetteer,
@@ -47,6 +51,47 @@ class CountingRemote:
         if self.fail:
             raise RemoteUnavailable("backend down")
         return self.reverse_country
+
+
+class CountingEntries(dict):
+    """A gazetteer table that counts lookups and fails past a budget."""
+
+    def __init__(self, entries, budget):
+        super().__init__(entries)
+        self.budget = budget
+        self.probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        if self.probes > self.budget:
+            raise AssertionError(f"more than {self.budget} probes")
+        return super().get(key, default)
+
+
+def reference_lookup(names: dict[str, str], query: str) -> str | None:
+    """Uncapped scan: whole query, comma segments, then every token span."""
+    key = normalize_place(query)
+    if not key:
+        return None
+    if key in names:
+        return names[key]
+    if "," in query:
+        for segment in query.split(","):
+            segment_key = normalize_place(segment)
+            if segment_key in names:
+                return names[segment_key]
+    tokens = [token.strip(_TOKEN_TRIM) for token in key.replace(",", " ").split()]
+    tokens = [token for token in tokens if token]
+    for length in range(len(tokens), 0, -1):
+        for start in range(len(tokens) - length + 1):
+            span = " ".join(tokens[start : start + length])
+            if span != key and span in names:
+                return names[span]
+    return None
+
+
+_WORDS = st.sampled_from(("new", "York", "san", "jose", "st.", "(b)", "x,", "paris", "é"))
+_SEPARATORS = st.sampled_from((" ", "  ", ", ", ",", "\t"))
 
 
 class TestGazetteer:
@@ -115,6 +160,33 @@ class TestGazetteer:
         table.add("paris", "FR")
         assert table.lookup("somewhere in the void") is None
         assert table.lookup("   ") is None
+
+    def test_long_query_probes_grow_linearly(self):
+        table = default_gazetteer()
+        longest = max(len(key.split()) for key in table._entries)
+        tokens = 2000
+        # one probe for the whole query, then at most one per span start and length
+        table._entries = CountingEntries(table._entries, budget=1 + longest * tokens)
+        query = " ".join(f"w{index}" for index in range(tokens))
+        assert table.lookup(query) is None
+        assert table._entries.probes > tokens
+
+    @given(
+        st.dictionaries(
+            st.lists(_WORDS, min_size=1, max_size=4).map(" ".join),
+            st.sampled_from(("US", "FR", "NL")),
+            max_size=6,
+        ),
+        st.lists(st.tuples(_WORDS, _SEPARATORS), max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_matches_uncapped_scan(self, raw_names, parts):
+        names = {normalize_place(name): country for name, country in raw_names.items()}
+        table = Gazetteer()
+        for name, country in names.items():
+            table.add(name, country)
+        query = "".join(word + separator for word, separator in parts)
+        assert table.lookup(query) == reference_lookup(names, query)
 
 
 class TestGazetteerParsing:
