@@ -6,6 +6,13 @@ vocabulary, log((count + alpha) / (kind_total + alpha * vocabulary_size)).
 Out-of-vocabulary values are skipped for every class alike. With alpha 0 an
 unseen pairing scores -inf; when every class is -inf, ranking falls back to
 priors alone. Exact ties rank the lexicographically smallest country first.
+
+Scoring reads the model's compiled form (``NaiveBayesModel.compiled``): the
+prior row, and per (kind, value) a row of that log term over the classes in
+code order, built the first time the value is scored. A tweet's scores are
+the prior row plus its values' rows, added in enabled-kind order. That is the
+order in which the formula adds its terms for each class, so the scores and
+rankings are bitwise equal to evaluating the formula class by class.
 """
 
 from __future__ import annotations
@@ -13,10 +20,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
+from .atomic import write_text_atomic
 from .errors import CorruptModel, EmptyTrainingSet
 from .features import ALL_KINDS, FeatureKind, FeatureVector, kind_from_name, ordered_kinds
 from .tweet_model import is_country_code
@@ -47,6 +58,78 @@ class NaiveBayesModel:
 
     def vocabulary_sizes(self) -> dict[str, int]:
         return {kind.value: len(values) for kind, values in self.vocabulary.items()}
+
+    @cached_property
+    def compiled(self) -> CompiledModel:
+        """The scoring tables, built on first use and kept on the model.
+
+        Not a field: it takes no part in ``==``, ``repr`` or the saved model.
+        """
+        return CompiledModel(self)
+
+
+class CompiledModel:
+    """A model's log-probability rows, each over the classes in code order.
+
+    A value's row holds log((count + alpha) / (kind_total + alpha *
+    vocabulary_size)) per class, -inf where the numerator is 0. Rows are
+    built the first time a value is scored, so loading a model costs nothing
+    extra; an out-of-vocabulary value is remembered as having no row. Each
+    built row also records the value's majority class.
+    """
+
+    def __init__(self, model: NaiveBayesModel) -> None:
+        self.classes = model.classes
+        total = model.total_examples
+        self.prior = [math.log(model.class_count[country] / total) for country in self.classes]
+        self.uniform_prior = [-math.log(len(self.classes))] * len(self.classes)
+        # Largest class first; the sort is stable, so ties stay in code order.
+        self.prior_order = sorted(self.classes, key=lambda country: -model.class_count[country])
+        self._alpha = model.alpha
+        self._tables: dict[FeatureKind, tuple[set[str], list[dict[str, int]], list[float]]] = {}
+        self._rows: dict[FeatureKind, dict[str, array | None]] = {}
+        self._majority: dict[FeatureKind, dict[str, str | None]] = {}
+        for kind in model.enabled_kinds:
+            vocab = model.vocabulary.get(kind) or set()
+            counts = [model.value_count.get(country, {}).get(kind, {}) for country in self.classes]
+            denominators = [
+                model.kind_total.get(country, {}).get(kind, 0) + model.alpha * len(vocab)
+                for country in self.classes
+            ]
+            self._tables[kind] = (vocab, counts, denominators)
+            self._rows[kind] = {}
+            self._majority[kind] = {}
+
+    def row(self, kind: FeatureKind, value: str) -> array | None:
+        """The value's row, or None when the value is out of vocabulary."""
+        rows = self._rows[kind]
+        if value in rows:
+            return rows[value]
+        vocab, counts, denominators = self._tables[kind]
+        if value not in vocab:
+            rows[value] = None
+            return None
+        row = array("d")
+        majority, majority_count = None, 0
+        for country, per_value, denominator in zip(self.classes, counts, denominators):
+            count = per_value.get(value, 0)
+            numerator = count + self._alpha
+            row.append(-math.inf if numerator == 0 else math.log(numerator / denominator))
+            if count > majority_count:
+                majority, majority_count = country, count
+        rows[value] = row
+        self._majority[kind][value] = majority
+        return row
+
+    def majority(self, kind: FeatureKind, value: str) -> str | None:
+        """The class with the highest count for the value; ties pick the smaller code.
+
+        None for an out-of-vocabulary value and for a kind the model does not enable.
+        """
+        if kind not in self._rows:
+            return None
+        self.row(kind, value)
+        return self._majority[kind].get(value)
 
 
 def train(
@@ -109,41 +192,25 @@ def log_posterior(
 
     Returns (country, log score) pairs sorted by descending score, ties by
     country code. If every class scored -inf the order falls back to the
-    prior-only ranking (scores stay -inf).
+    prior-only ranking (scores stay -inf). The score is the prior row plus
+    the compiled row of each in-vocabulary value, added in enabled-kind order.
     """
-    total = model.total_examples
-    count_of = model.class_count
-    scores: list[tuple[str, float]] = []
-    for country in count_of:
-        if uniform_priors:
-            score = -math.log(len(count_of))
-        else:
-            score = math.log(count_of[country] / total)
-        per_kind = model.value_count.get(country, {})
-        totals = model.kind_total.get(country, {})
-        for kind in model.enabled_kinds:
-            value = vector.get(kind)
-            if value is None:
-                continue
-            vocab = model.vocabulary.get(kind)
-            if not vocab or value not in vocab:
-                continue
-            numerator = per_kind.get(kind, {}).get(value, 0) + model.alpha
-            if numerator == 0:
-                score = -math.inf
-                continue
-            denominator = totals.get(kind, 0) + model.alpha * len(vocab)
-            score += math.log(numerator / denominator)
-        scores.append((country, score))
-
-    if scores and all(score == -math.inf for _, score in scores):
-        if uniform_priors:
-            scores.sort(key=lambda item: item[0])
-        else:
-            scores.sort(key=lambda item: (-count_of[item[0]], item[0]))
-    else:
-        scores.sort(key=lambda item: (-item[1], item[0]))
-    return scores
+    compiled = model.compiled
+    scores = compiled.uniform_prior if uniform_priors else compiled.prior
+    for kind in model.enabled_kinds:
+        value = vector.get(kind)
+        if value is None:
+            continue
+        row = compiled.row(kind, value)
+        if row is not None:
+            scores = list(map(operator.add, scores, row))
+    # The classes are in code order and the sort is stable, so equal scores
+    # stay in code order: the same ranking as sorting on (-score, country).
+    ranked = sorted(zip(compiled.classes, scores), key=operator.itemgetter(1), reverse=True)
+    if ranked and ranked[0][1] == -math.inf:
+        fallback = compiled.classes if uniform_priors else compiled.prior_order
+        return [(country, -math.inf) for country in fallback]
+    return ranked
 
 
 def classify(
@@ -235,9 +302,9 @@ def model_to_dict(model: NaiveBayesModel, config: dict | None = None) -> dict[st
 
 
 def save_model(model: NaiveBayesModel, path: str | Path, config: dict | None = None) -> None:
-    """Write the model as deterministic JSON (sorted keys, no timestamps)."""
+    """Write the model as deterministic JSON (sorted keys, no timestamps), atomically."""
     text = json.dumps(model_to_dict(model, config), ensure_ascii=False, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_text_atomic(path, text + "\n")
 
 
 def _require_model(condition: bool, message: str) -> None:

@@ -516,13 +516,13 @@ def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
     _add_case_fold_flag(parser)
 
 
-def _add_case_fold_flag(parser: argparse.ArgumentParser) -> None:
+def _add_case_fold_flag(parser: argparse.ArgumentParser, default: str = "on") -> None:
     parser.add_argument(
         "--case-fold",
         dest="case_fold",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="case-fold location and timezone values (default: on)",
+        help=f"case-fold location and timezone values (default: {default})",
     )
 
 
@@ -595,7 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(classify_p)
     _add_geocoder_flags(classify_p)
     # Kinds and alpha come from the model, so classify takes neither flag.
-    _add_case_fold_flag(classify_p)
+    _add_case_fold_flag(
+        classify_p,
+        default="the setting recorded in the model; if it records none, the config file's, else on",
+    )
     classify_p.set_defaults(handler=cmd_classify)
 
     evaluate_p = commands.add_parser("evaluate", help="seeded k-fold cross-validation")

@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .atomic import write_text_atomic
 from .bayes import NaiveBayesModel, classify, train
 from .errors import (
     EmptyEvaluationSet,
@@ -660,14 +661,11 @@ def per_country_report(
 
 
 def majority_class(model: NaiveBayesModel, kind: FeatureKind, value: str) -> str | None:
-    """The class with the highest count for one value; ties pick the smaller code."""
-    best: str | None = None
-    best_count = 0
-    for country in sorted(model.class_count):
-        count = model.value_count.get(country, {}).get(kind, {}).get(value, 0)
-        if count > best_count:
-            best, best_count = country, count
-    return best
+    """The class with the highest count for one value; ties pick the smaller code.
+
+    None when no class has counted the value or the model does not enable the kind.
+    """
+    return model.compiled.majority(kind, value)
 
 
 def diagnostic_tags(
@@ -707,7 +705,7 @@ def diagnose(
 
 def write_evaluation_json(report: EvaluationReport, path: str | Path) -> None:
     text = json.dumps(report.to_json_dict(), ensure_ascii=False, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_text_atomic(path, text + "\n")
 
 
 def write_evaluation_csv(report: EvaluationReport, path: str | Path) -> None:
@@ -721,7 +719,7 @@ def write_evaluation_csv(report: EvaluationReport, path: str | Path) -> None:
     correct_total = pooled.numerator * (report.n_evaluated // pooled.denominator)
     lines.append(f"pooled,{correct_total},{report.n_evaluated},{float(pooled)!r}")
     lines.append(f"mean_of_folds,,,{float(report.mean_fold_accuracy)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_ablation_json(rows: Sequence[AblationRow], path: str | Path) -> None:
@@ -740,7 +738,7 @@ def write_ablation_json(rows: Sequence[AblationRow], path: str | Path) -> None:
         "config_sha256": rows[0].report.config_sha256 if rows else "",
     }
     text = json.dumps(document, ensure_ascii=False, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_text_atomic(path, text + "\n")
 
 
 def write_ablation_csv(rows: Sequence[AblationRow], path: str | Path) -> None:
@@ -761,7 +759,7 @@ def write_ablation_csv(rows: Sequence[AblationRow], path: str | Path) -> None:
                 ]
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _percent(value: Fraction) -> str:
@@ -770,7 +768,7 @@ def _percent(value: Fraction) -> str:
 
 def write_per_country_json(report: PerCountryReport, path: str | Path) -> None:
     text = json.dumps(report.to_json_dict(), ensure_ascii=False, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_text_atomic(path, text + "\n")
 
 
 def write_per_country_csv(report: PerCountryReport, path: str | Path) -> None:
@@ -795,4 +793,4 @@ def write_per_country_csv(report: PerCountryReport, path: str | Path) -> None:
             + [_percent(value) for value in report.region_accuracies]
         )
     )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")

@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Protocol
 
+from .atomic import write_text_atomic
 from .errors import ConflictingEntry, InvalidQuery, RemoteUnavailable
 from .features import normalize_place
 from .tweet_model import OTHER_LABEL, is_country_code
@@ -255,22 +256,21 @@ class GeocodeCache:
         with self._lock:
             if self._path is None:
                 return len(self._entries)
-            tmp = self._path.with_suffix(self._path.suffix + ".tmp")
-            with tmp.open("w", encoding="utf-8") as handle:
-                for key in sorted(self._entries):
-                    entry = self._entries[key]
-                    handle.write(
-                        "\t".join(
-                            (
-                                _escape_key(key),
-                                entry.country or NEGATIVE_MARK,
-                                entry.source,
-                                entry.timestamp,
-                            )
+            lines = []
+            for key in sorted(self._entries):
+                entry = self._entries[key]
+                lines.append(
+                    "\t".join(
+                        (
+                            _escape_key(key),
+                            entry.country or NEGATIVE_MARK,
+                            entry.source,
+                            entry.timestamp,
                         )
-                        + "\n"
                     )
-            tmp.replace(self._path)
+                    + "\n"
+                )
+            write_text_atomic(self._path, "".join(lines))
             return len(self._entries)
 
 

@@ -24,6 +24,7 @@ from tweetcountry.bayes import (
     train,
 )
 from tweetcountry.errors import CorruptModel, EmptyTrainingSet
+from tweetcountry.evaluation import majority_class
 from tweetcountry.features import ALL_KINDS, FeatureKind
 
 K = FeatureKind
@@ -145,6 +146,126 @@ feature_values = st.sampled_from(["v0", "v1", "v2", "v3"])
 labels = st.sampled_from(["AA", "BB", "CC"])
 vectors = st.dictionaries(st.sampled_from(list(ALL_KINDS)), feature_values, max_size=3)
 example_lists = st.lists(st.tuples(vectors, labels), min_size=2, max_size=30)
+
+
+def reference_log_posterior(model, vector, uniform_priors=False):
+    """The per-class scoring loop that predates the compiled rows, kept as the reference."""
+    total = model.total_examples
+    count_of = model.class_count
+    scores = []
+    for country in count_of:
+        if uniform_priors:
+            score = -math.log(len(count_of))
+        else:
+            score = math.log(count_of[country] / total)
+        per_kind = model.value_count.get(country, {})
+        totals = model.kind_total.get(country, {})
+        for kind in model.enabled_kinds:
+            value = vector.get(kind)
+            if value is None:
+                continue
+            vocab = model.vocabulary.get(kind)
+            if not vocab or value not in vocab:
+                continue
+            numerator = per_kind.get(kind, {}).get(value, 0) + model.alpha
+            if numerator == 0:
+                score = -math.inf
+                continue
+            denominator = totals.get(kind, 0) + model.alpha * len(vocab)
+            score += math.log(numerator / denominator)
+        scores.append((country, score))
+    if scores and all(score == -math.inf for _, score in scores):
+        if uniform_priors:
+            scores.sort(key=lambda item: item[0])
+        else:
+            scores.sort(key=lambda item: (-count_of[item[0]], item[0]))
+    else:
+        scores.sort(key=lambda item: (-item[1], item[0]))
+    return scores
+
+
+def reference_majority(model, kind, value):
+    """The per-call scan over every class that predates the compiled rows."""
+    best, best_count = None, 0
+    for country in sorted(model.class_count):
+        count = model.value_count.get(country, {}).get(kind, {}).get(value, 0)
+        if count > best_count:
+            best, best_count = country, count
+    return best
+
+
+def assert_same_ranking(got, expected):
+    assert [country for country, _ in got] == [country for country, _ in expected]
+    assert [repr(score) for _, score in got] == [repr(score) for _, score in expected]
+
+
+# Training values are v0..v3; scored vectors also draw v4 and v5, which no model has seen.
+scored_values = st.sampled_from(["v0", "v1", "v2", "v3", "v4", "v5"])
+scored_vectors = st.dictionaries(st.sampled_from(list(ALL_KINDS)), scored_values, max_size=6)
+tied_labels = st.sampled_from(["AA", "BB", "CC", "DD"])
+count_tables = st.lists(st.tuples(vectors, tied_labels), min_size=1, max_size=25)
+kind_subsets = st.sets(st.sampled_from(list(ALL_KINDS)), min_size=1)
+
+
+class TestCompiledScoring:
+    @given(
+        count_tables,
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        kind_subsets,
+        st.lists(scored_vectors, min_size=1, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_per_class_loop(self, examples, alpha, kinds, scored):
+        model = train(examples, alpha=alpha, enabled_kinds=kinds)
+        # twice over, so the second pass reads rows the first one built
+        for _ in range(2):
+            for vector in scored + [{}]:
+                for uniform in (False, True):
+                    assert_same_ranking(
+                        log_posterior(model, vector, uniform_priors=uniform),
+                        reference_log_posterior(model, vector, uniform_priors=uniform),
+                    )
+        for kind in ALL_KINDS:
+            for value in ["v0", "v1", "v2", "v3", "v4", "v5"]:
+                assert majority_class(model, kind, value) == reference_majority(model, kind, value)
+        fresh = train(examples, alpha=alpha, enabled_kinds=kinds)
+        assert model == fresh
+        assert model_to_dict(model) == model_to_dict(fresh)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_all_minus_inf_fallback_matches_per_class_loop(self, uniform):
+        examples = [
+            ({K.TIMEZONE: "a", K.USER_LANGUAGE: "xx"}, "NL"),
+            ({K.TIMEZONE: "b", K.USER_LANGUAGE: "yy"}, "NL"),
+            ({K.TIMEZONE: "c", K.USER_LANGUAGE: "xx"}, "GB"),
+            ({K.TIMEZONE: "d", K.USER_LANGUAGE: "zz"}, "AT"),
+        ]
+        model = train(examples, alpha=0.0)
+        vector = {K.TIMEZONE: "c", K.USER_LANGUAGE: "yy"}
+        ranked = log_posterior(model, vector, uniform_priors=uniform)
+        assert all(score == -math.inf for _, score in ranked)
+        assert [country for country, _ in ranked] == (["AT", "GB", "NL"] if uniform else ["NL", "AT", "GB"])
+        assert_same_ranking(ranked, reference_log_posterior(model, vector, uniform_priors=uniform))
+
+    def test_majority_ties_unseen_values_and_disabled_kinds(self):
+        examples = [
+            ({K.TIMEZONE: "shared"}, "NL"),
+            ({K.TIMEZONE: "shared"}, "GB"),
+            ({K.TIMEZONE: "london"}, "GB"),
+        ]
+        model = train(examples, enabled_kinds=(K.TIMEZONE,))
+        assert majority_class(model, K.TIMEZONE, "shared") == "GB"
+        assert majority_class(model, K.TIMEZONE, "mars") is None
+        assert majority_class(model, K.LOCATION, "shared") is None
+
+    def test_compiled_form_is_not_part_of_the_model(self, tiny_model, tiny_examples, tmp_path):
+        before = model_to_dict(tiny_model)
+        log_posterior(tiny_model, {K.TIMEZONE: "amsterdam"})
+        assert "compiled" in vars(tiny_model)
+        assert tiny_model == train(tiny_examples, alpha=1.0)
+        assert model_to_dict(tiny_model) == before
+        save_model(tiny_model, tmp_path / "model.json")
+        assert json.loads((tmp_path / "model.json").read_text(encoding="utf-8")) == before
 
 
 class TestMerge:

@@ -237,6 +237,15 @@ class TestClassify:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_case_fold_help_names_the_model_default(self, capsys):
+        # classify mirrors the model's recorded case_fold unless the flag is given
+        with pytest.raises(SystemExit) as excinfo:
+            main(["classify", "--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "case-fold location and timezone values (default: the setting recorded in the model;" in text
+        assert "(default: on)" not in text
+
 
 class TestEvaluate:
     def test_perfect_separable_run(self, tmp_path, labeled_file, capsys):
