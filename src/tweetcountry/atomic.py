@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import os
 import secrets
 from pathlib import Path
+from typing import Any
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -34,3 +36,10 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json_atomic(path: str | Path, document: Any) -> None:
+    """Write a JSON document atomically in the canonical artifact encoding:
+    UTF-8, sorted keys, two-space indent and a final newline."""
+    text = json.dumps(document, ensure_ascii=False, sort_keys=True, indent=2)
+    write_text_atomic(path, text + "\n")

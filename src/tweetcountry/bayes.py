@@ -27,7 +27,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
-from .atomic import write_text_atomic
+from .atomic import write_json_atomic
 from .errors import CorruptModel, EmptyTrainingSet
 from .features import ALL_KINDS, FeatureKind, FeatureVector, kind_from_name, ordered_kinds
 from .tweet_model import is_country_code
@@ -303,8 +303,7 @@ def model_to_dict(model: NaiveBayesModel, config: dict | None = None) -> dict[st
 
 def save_model(model: NaiveBayesModel, path: str | Path, config: dict | None = None) -> None:
     """Write the model as deterministic JSON (sorted keys, no timestamps), atomically."""
-    text = json.dumps(model_to_dict(model, config), ensure_ascii=False, sort_keys=True, indent=2)
-    write_text_atomic(path, text + "\n")
+    write_json_atomic(path, model_to_dict(model, config))
 
 
 def _require_model(condition: bool, message: str) -> None:

@@ -2,7 +2,10 @@
 
 Accuracy is kept as an exact rational and only converted to float at the
 edges. Fold assignment is a pure function of (n, k, seed), so every subset in
-an ablation grid sees identical folds. Reports echo the resolved run
+an ablation grid sees identical folds. Each fold trains one model over the
+union of the subsets' kinds and scores every subset against it, with the eval
+vectors restricted to that subset: the predictions of a model trained on the
+subset alone, for one training per fold. Reports echo the resolved run
 configuration and its SHA-256 so artifacts are reproducible byte for byte.
 """
 
@@ -17,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .atomic import write_text_atomic
+from .atomic import write_json_atomic, write_text_atomic
 from .bayes import NaiveBayesModel, classify, train
 from .errors import (
     EmptyEvaluationSet,
@@ -255,67 +258,33 @@ def _restrict(
     return [{kind: value for kind, value in vector.items() if kind in keep} for vector in vectors]
 
 
-def _predict(
+def _predict_subsets(
     train_vectors: Sequence[FeatureVector],
     train_labels: Sequence[str],
     eval_vectors: Sequence[FeatureVector],
-    kinds: tuple[FeatureKind, ...],
+    subsets: Sequence[tuple[FeatureKind, ...]],
     alpha: float,
     uniform_priors: bool,
-) -> list[str]:
-    """Train on one labeled set and predict a country for each eval vector.
+) -> list[list[str]]:
+    """Train once over the union of the subsets, then predict a country for
+    each eval vector restricted to each subset, one list per subset.
 
     The only place in this module that trains and classifies: folds,
-    ablation rows and report columns all go through it.
+    ablation rows, report columns and the region row all go through it.
+    A kind's counts, vocabulary and denominators do not depend on which
+    other kinds are enabled, and log_posterior adds the rows of the kinds a
+    vector holds in enabled-kind order. So a restricted vector gets the same
+    scores, bit for bit, as from a model trained on its subset alone.
     """
-    model = train(zip(train_vectors, train_labels), alpha=alpha, enabled_kinds=kinds)
-    return [classify(model, vector, uniform_priors=uniform_priors) for vector in eval_vectors]
-
-
-def _run_folds(
-    vectors: Sequence[FeatureVector],
-    labels: Sequence[str],
-    assignment: FoldAssignment,
-    kinds: tuple[FeatureKind, ...],
-    alpha: float,
-    orientation: str,
-    uniform_priors: bool,
-    config: dict,
-) -> EvaluationReport:
-    pooled: list[tuple[str, str]] = []
-    fold_accuracies: list[Fraction] = []
-    fold_sizes: list[int] = []
-    confusion: dict[str, dict[str, int]] = {}
-    for fold in range(assignment.k):
-        in_fold = assignment.indices_in(fold)
-        rest = [i for i in range(assignment.n) if assignment.folds[i] != fold]
-        train_indices, test_indices = (rest, in_fold) if orientation == "standard" else (in_fold, rest)
-        predictions = _predict(
-            [vectors[i] for i in train_indices],
-            [labels[i] for i in train_indices],
-            [vectors[i] for i in test_indices],
-            kinds,
-            alpha,
-            uniform_priors,
-        )
-        fold_pairs = list(zip(predictions, (labels[i] for i in test_indices)))
-        fold_accuracies.append(accuracy(fold_pairs))
-        fold_sizes.append(len(fold_pairs))
-        pooled.extend(fold_pairs)
-        for predicted, true in fold_pairs:
-            row = confusion.setdefault(true, {})
-            row[predicted] = row.get(predicted, 0) + 1
-    mean_folds = sum(fold_accuracies, Fraction(0)) / len(fold_accuracies)
-    return EvaluationReport(
-        kinds=kinds,
-        pooled_accuracy=accuracy(pooled),
-        mean_fold_accuracy=mean_folds,
-        fold_accuracies=tuple(fold_accuracies),
-        fold_sizes=tuple(fold_sizes),
-        confusion=confusion,
-        n_evaluated=len(pooled),
-        config=config,
-    )
+    union = ordered_kinds(kind for subset in subsets for kind in subset)
+    model = train(zip(train_vectors, train_labels), alpha=alpha, enabled_kinds=union)
+    return [
+        [
+            classify(model, vector, uniform_priors=uniform_priors)
+            for vector in _restrict(eval_vectors, subset)
+        ]
+        for subset in subsets
+    ]
 
 
 def cross_validate(
@@ -376,8 +345,10 @@ def ablate(
 ) -> list[AblationRow]:
     """Cross-validate every feature subset against identical folds.
 
-    Features are extracted once for the union of all subsets and restricted
-    per row, so a value's presence never depends on which row is running.
+    Features are extracted once for the union of all subsets. Each fold
+    trains one model over that union, and every subset is scored against it
+    with the eval vectors restricted to the subset's kinds: the same
+    predictions as training on the subset alone, for one training per fold.
     """
     subset_list = [ordered_kinds(subset) for subset in subsets]
     if not subset_list:
@@ -391,26 +362,55 @@ def ablate(
         raise ValueError("cross-validation needs at least two distinct countries")
     union = ordered_kinds(kind for subset in subset_list for kind in subset)
     assignment = kfold_split(len(labels), k, seed)
-    full_vectors = [
+    vectors = [
         extract_features(tweet, geoparser, union, case_fold=case_fold)
         for tweet, _ in data.examples
     ]
-    rows: list[AblationRow] = []
-    for subset in subset_list:
-        echo = _base_config(
-            kinds=subset,
-            alpha=alpha,
-            k=k,
-            seed=seed,
-            orientation=orientation,
-            uniform_priors=uniform_priors,
-            case_fold=case_fold,
-            source=data.source,
-            extra=config,
+    # fold_pairs[s][f]: (predicted, true) pairs of subset s on fold f
+    fold_pairs: list[list[list[tuple[str, str]]]] = [[] for _ in subset_list]
+    for fold in range(k):
+        in_fold = assignment.indices_in(fold)
+        rest = [i for i in range(assignment.n) if assignment.folds[i] != fold]
+        train_indices, test_indices = (rest, in_fold) if orientation == "standard" else (in_fold, rest)
+        predictions = _predict_subsets(
+            [vectors[i] for i in train_indices],
+            [labels[i] for i in train_indices],
+            [vectors[i] for i in test_indices],
+            subset_list,
+            alpha,
+            uniform_priors,
         )
-        vectors = _restrict(full_vectors, subset)
-        report = _run_folds(
-            vectors, labels, assignment, subset, alpha, orientation, uniform_priors, echo
+        truths = [labels[i] for i in test_indices]
+        for pairs, subset_predictions in zip(fold_pairs, predictions):
+            pairs.append(list(zip(subset_predictions, truths)))
+
+    rows: list[AblationRow] = []
+    for subset, per_fold in zip(subset_list, fold_pairs):
+        fold_accuracies = [accuracy(pairs) for pairs in per_fold]
+        pooled = [pair for pairs in per_fold for pair in pairs]
+        confusion: dict[str, dict[str, int]] = {}
+        for predicted, true in pooled:
+            row = confusion.setdefault(true, {})
+            row[predicted] = row.get(predicted, 0) + 1
+        report = EvaluationReport(
+            kinds=subset,
+            pooled_accuracy=accuracy(pooled),
+            mean_fold_accuracy=sum(fold_accuracies, Fraction(0)) / len(fold_accuracies),
+            fold_accuracies=tuple(fold_accuracies),
+            fold_sizes=tuple(len(pairs) for pairs in per_fold),
+            confusion=confusion,
+            n_evaluated=len(pooled),
+            config=_base_config(
+                kinds=subset,
+                alpha=alpha,
+                k=k,
+                seed=seed,
+                orientation=orientation,
+                uniform_priors=uniform_priors,
+                case_fold=case_fold,
+                source=data.source,
+                extra=config,
+            ),
         )
         rows.append(AblationRow(kinds=subset, report=report))
     return rows
@@ -489,8 +489,8 @@ class PerCountryReport:
     """Accuracy per country for several feature sets, with summary rows.
 
     Countries with fewer than min_count evaluation tweets are omitted from
-    the rows and from the summary statistics. The region row reruns the
-    pipeline with every label outside the region collapsed.
+    the rows and from the summary statistics. The region row comes from one
+    more training, with every label outside the region collapsed.
     """
 
     kind_sets: tuple[tuple[FeatureKind, ...], ...]
@@ -560,6 +560,8 @@ def per_country_report(
     unweighted mean and the population standard deviation of the row
     percentages. The region row collapses labels outside the region on both
     sides of the pipeline and reports overall accuracy per feature set.
+    One model over the union of the feature sets serves every column, and
+    one more, trained on the collapsed labels, serves the region row.
     """
     sets = [ordered_kinds(kinds) for kinds in kind_sets]
     if not sets:
@@ -590,20 +592,17 @@ def per_country_report(
         ]
     eval_labels = eval_data.labels()
 
+    per_set_predictions = _predict_subsets(
+        train_vectors, train_labels, eval_vectors, sets, alpha, uniform_priors
+    )
     collapsed_train = collapse_region(train_labels, region_set)
     collapsed_eval = collapse_region(eval_labels, region_set)
-    per_set_predictions: list[list[str]] = []
-    region_accuracies: list[Fraction] = []
-    for kinds in sets:
-        train_set = _restrict(train_vectors, kinds)
-        eval_set = train_set if eval_vectors is train_vectors else _restrict(eval_vectors, kinds)
-        per_set_predictions.append(
-            _predict(train_set, train_labels, eval_set, kinds, alpha, uniform_priors)
-        )
-        region_predictions = _predict(
-            train_set, collapsed_train, eval_set, kinds, alpha, uniform_priors
-        )
-        region_accuracies.append(accuracy(list(zip(region_predictions, collapsed_eval))))
+    region_predictions = _predict_subsets(
+        train_vectors, collapsed_train, eval_vectors, sets, alpha, uniform_priors
+    )
+    region_accuracies = [
+        accuracy(list(zip(predictions, collapsed_eval))) for predictions in region_predictions
+    ]
 
     counts: dict[str, int] = {}
     for label in eval_labels:
@@ -704,8 +703,7 @@ def diagnose(
 
 
 def write_evaluation_json(report: EvaluationReport, path: str | Path) -> None:
-    text = json.dumps(report.to_json_dict(), ensure_ascii=False, sort_keys=True, indent=2)
-    write_text_atomic(path, text + "\n")
+    write_json_atomic(path, report.to_json_dict())
 
 
 def write_evaluation_csv(report: EvaluationReport, path: str | Path) -> None:
@@ -737,8 +735,7 @@ def write_ablation_json(rows: Sequence[AblationRow], path: str | Path) -> None:
         "config": rows[0].report.config if rows else {},
         "config_sha256": rows[0].report.config_sha256 if rows else "",
     }
-    text = json.dumps(document, ensure_ascii=False, sort_keys=True, indent=2)
-    write_text_atomic(path, text + "\n")
+    write_json_atomic(path, document)
 
 
 def write_ablation_csv(rows: Sequence[AblationRow], path: str | Path) -> None:
@@ -767,8 +764,7 @@ def _percent(value: Fraction) -> str:
 
 
 def write_per_country_json(report: PerCountryReport, path: str | Path) -> None:
-    text = json.dumps(report.to_json_dict(), ensure_ascii=False, sort_keys=True, indent=2)
-    write_text_atomic(path, text + "\n")
+    write_json_atomic(path, report.to_json_dict())
 
 
 def write_per_country_csv(report: PerCountryReport, path: str | Path) -> None:

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from tweetcountry import atomic
-from tweetcountry.atomic import write_text_atomic
+from tweetcountry.atomic import write_json_atomic, write_text_atomic
 from tweetcountry.bayes import save_model, train
 from tweetcountry.evaluation import (
     ablate,
@@ -47,6 +47,14 @@ def test_writes_utf8_bytes_as_given(tmp_path):
     write_text_atomic(path, "Zürich\nline two\n")
     assert path.read_bytes() == "Zürich\nline two\n".encode("utf-8")
     assert sorted(os.listdir(tmp_path)) == ["out.txt"]
+
+
+def test_json_document_in_canonical_encoding(tmp_path):
+    path = tmp_path / "out.json"
+    write_json_atomic(path, {"b": [1, 2.5], "a": "Zürich"})
+    expected = '{\n  "a": "Zürich",\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert sorted(os.listdir(tmp_path)) == ["out.json"]
 
 
 def test_symlink_target_is_replaced_and_link_kept(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tweetcountry import evaluation
 from tweetcountry.bayes import classify, train
 from tweetcountry.errors import EmptyEvaluationSet, InvalidFoldCount, MalformedInput
 from tweetcountry.evaluation import (
@@ -197,10 +198,13 @@ class TestCrossValidate:
         assert 0.12 <= mean <= 0.28
 
 
-def make_mixed_corpus(seed: int = 11) -> LabeledDataset:
+def make_mixed_corpus(seed: int = 11, languages: int = 2) -> LabeledDataset:
     """Three countries with overlapping timezones and random offsets and
-    languages, so every feature subset makes some mistakes."""
+    languages, so every feature subset makes some mistakes. With many
+    languages, a single training fold leaves some (timezone, language) pairs
+    that no class has seen together: every class scores -inf at alpha 0."""
     rng = random.Random(seed)
+    pool = ("en", "nl", "de", "fr", "es", "it", "pt", "pl")[:languages]
     examples = []
     for index in range(90):
         country = ("AA", "BB", "CC")[index % 3]
@@ -209,13 +213,13 @@ def make_mixed_corpus(seed: int = 11) -> LabeledDataset:
             id=str(index),
             time_zone=zone,
             utc_offset_seconds=rng.choice((0, 3600)),
-            user_language=rng.choice(("en", "nl")),
+            user_language=rng.choice(pool),
         )
         examples.append((record, country))
-    return LabeledDataset(examples, source=f"mixed:{seed}")
+    return LabeledDataset(examples, source=f"mixed:{seed}:{languages}")
 
 
-def direct_folds(data, kinds, k, seed, orientation):
+def direct_folds(data, kinds, k, seed, orientation, alpha, uniform_priors):
     """Per-fold accuracies, pooled accuracy and confusion from train and
     classify called on each fold directly, on unrestricted vectors."""
     vectors = [extract_features(tweet) for tweet, _ in data.examples]
@@ -228,8 +232,10 @@ def direct_folds(data, kinds, k, seed, orientation):
         held_out = [i for i, f in enumerate(folds) if f == fold]
         rest = [i for i, f in enumerate(folds) if f != fold]
         train_on, test_on = (rest, held_out) if orientation == "standard" else (held_out, rest)
-        model = train([(vectors[i], labels[i]) for i in train_on], enabled_kinds=kinds)
-        pairs = [(classify(model, vectors[i]), labels[i]) for i in test_on]
+        model = train([(vectors[i], labels[i]) for i in train_on], alpha=alpha, enabled_kinds=kinds)
+        pairs = [
+            (classify(model, vectors[i], uniform_priors=uniform_priors), labels[i]) for i in test_on
+        ]
         fold_accuracies.append(accuracy(pairs))
         pooled.extend(pairs)
         for predicted, true in pairs:
@@ -238,13 +244,17 @@ def direct_folds(data, kinds, k, seed, orientation):
     return tuple(fold_accuracies), accuracy(pooled), confusion
 
 
-def direct_same_set(data, kinds, region):
+def direct_same_set(data, kinds, region, alpha, uniform_priors):
     """Per-country accuracies and the region accuracy of a model scored on
     its own training set, from train and classify called directly."""
     vectors = [extract_features(tweet) for tweet, _ in data.examples]
     labels = data.labels()
-    model = train(zip(vectors, labels), enabled_kinds=kinds)
-    predicted = [classify(model, vector) for vector in vectors]
+
+    def predict(train_labels):
+        model = train(zip(vectors, train_labels), alpha=alpha, enabled_kinds=kinds)
+        return [classify(model, vector, uniform_priors=uniform_priors) for vector in vectors]
+
+    predicted = predict(labels)
     per_country = {
         country: Fraction(
             sum(1 for p, t in zip(predicted, labels) if t == country and p == t),
@@ -253,37 +263,69 @@ def direct_same_set(data, kinds, region):
         for country in set(labels)
     }
     collapsed = [label if label in region else OTHER_LABEL for label in labels]
-    region_model = train(zip(vectors, collapsed), enabled_kinds=kinds)
-    region_accuracy = accuracy(
-        [(classify(region_model, vector), true) for vector, true in zip(vectors, collapsed)]
-    )
+    region_accuracy = accuracy(list(zip(predict(collapsed), collapsed)))
     return per_country, region_accuracy
+
+
+def count_trainings(monkeypatch) -> list[int]:
+    """Count the trainings evaluation runs; the one-item list holds the count."""
+    calls = [0]
+    real_train = evaluation.train
+
+    def counting_train(*args, **kwargs):
+        calls[0] += 1
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train", counting_train)
+    return calls
 
 
 class TestAblate:
     def test_rows_match_direct_cross_validation(self, separable_corpus):
-        subsets = [(K.TIMEZONE,), (K.UTC_OFFSET,), (K.TIMEZONE, K.USER_LANGUAGE)]
-        for data in (separable_corpus, make_mixed_corpus()):
-            for orientation in ("standard", "inverted"):
-                rows = ablate(data, subsets, k=5, seed=4, orientation=orientation)
-                assert [row.kinds for row in rows] == subsets
-                for row in rows:
-                    fold_accuracies, pooled, confusion = direct_folds(
-                        data, row.kinds, 5, 4, orientation
+        # (LOCATION, TIMEZONE) holds a kind that no mixed-corpus vector has;
+        # alpha 0 reaches the all -inf fallback, whose order depends on the
+        # prior mode, on the many-language corpus in inverted orientation.
+        subsets = [
+            (K.TIMEZONE,),
+            (K.UTC_OFFSET,),
+            (K.TIMEZONE, K.USER_LANGUAGE),
+            (K.LOCATION, K.TIMEZONE),
+        ]
+        corpora = (separable_corpus, make_mixed_corpus(), make_mixed_corpus(12, languages=8))
+        for data in corpora:
+            for alpha, uniform_priors in ((1.0, False), (0.0, False), (0.0, True), (0.5, True)):
+                settings = {"alpha": alpha, "uniform_priors": uniform_priors}
+                for orientation in ("standard", "inverted"):
+                    rows = ablate(data, subsets, k=5, seed=4, orientation=orientation, **settings)
+                    assert [row.kinds for row in rows] == subsets
+                    for row in rows:
+                        fold_accuracies, pooled, confusion = direct_folds(
+                            data, row.kinds, 5, 4, orientation, alpha, uniform_priors
+                        )
+                        single = cross_validate(
+                            data, k=5, kinds=row.kinds, seed=4, orientation=orientation, **settings
+                        )
+                        for report in (row.report, single):
+                            assert report.fold_accuracies == fold_accuracies
+                            assert report.pooled_accuracy == pooled
+                            assert report.confusion == confusion
+                # the same-set report column and region row, one case per subset
+                report = per_country_report(
+                    data, kind_sets=subsets, min_count=1, region={"AA"}, **settings
+                )
+                for column, kinds in enumerate(subsets):
+                    per_country, region_accuracy = direct_same_set(
+                        data, kinds, {"AA"}, alpha, uniform_priors
                     )
-                    single = cross_validate(
-                        data, k=5, kinds=row.kinds, seed=4, orientation=orientation
-                    )
-                    for report in (row.report, single):
-                        assert report.fold_accuracies == fold_accuracies
-                        assert report.pooled_accuracy == pooled
-                        assert report.confusion == confusion
-            # the same-set report column and region row, one case per subset
-            report = per_country_report(data, kind_sets=subsets, min_count=1, region={"AA"})
-            for column, kinds in enumerate(subsets):
-                per_country, region_accuracy = direct_same_set(data, kinds, {"AA"})
-                assert {row.country: row.accuracies[column] for row in report.rows} == per_country
-                assert report.region_accuracies[column] == region_accuracy
+                    column_accuracies = {row.country: row.accuracies[column] for row in report.rows}
+                    assert column_accuracies == per_country
+                    assert report.region_accuracies[column] == region_accuracy
+
+    def test_one_training_per_fold(self, separable_corpus, monkeypatch):
+        trainings = count_trainings(monkeypatch)
+        rows = ablate(separable_corpus, ABLATION_PRESETS["table1"], k=5)
+        assert len(rows) == len(ABLATION_PRESETS["table1"])
+        assert trainings == [5]
 
     def test_preset_order_preserved(self, separable_corpus):
         rows = ablate(separable_corpus, ABLATION_PRESETS["table1"], k=5)
@@ -447,6 +489,16 @@ class TestPerCountryReport:
             skewed_data, skewed_data, kind_sets=[(K.TIMEZONE,)], region={"AA"}
         )
         assert report.mode == "same-set"
+
+    def test_two_trainings_in_both_modes(self, skewed_data, monkeypatch):
+        # one for the labels, one for the region-collapsed labels
+        trainings = count_trainings(monkeypatch)
+        eval_data = LabeledDataset([(tz_record("ta"), "AA")] * 15, source="eval")
+        for held_out in (None, eval_data):
+            trainings[0] = 0
+            report = per_country_report(skewed_data, held_out, region={"AA"})
+            assert len(report.kind_sets) == len(REPORT_KIND_SETS)
+            assert trainings == [2]
 
     def test_default_kind_sets(self, skewed_data):
         report = per_country_report(skewed_data, region={"AA", "BB"})
