@@ -12,7 +12,6 @@ from .bayes import (
     classify,
     load_model,
     log_posterior,
-    merge_models,
     save_model,
     train,
 )
@@ -37,7 +36,6 @@ from .evaluation import (
     accuracy,
     collapse_region,
     cross_validate,
-    diagnose,
     kfold_split,
     per_country_report,
 )
@@ -77,13 +75,11 @@ __all__ = [
     "classify",
     "collapse_region",
     "cross_validate",
-    "diagnose",
     "extract_features",
     "kfold_split",
     "label_of",
     "load_model",
     "log_posterior",
-    "merge_models",
     "parse_tweet",
     "per_country_report",
     "save_model",

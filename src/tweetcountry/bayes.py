@@ -220,56 +220,6 @@ def classify(
     return log_posterior(model, vector, uniform_priors=uniform_priors)[0][0]
 
 
-def merge_models(first: NaiveBayesModel, second: NaiveBayesModel) -> NaiveBayesModel:
-    """Add two models' counts; they must agree on alpha and enabled kinds.
-
-    Training on a concatenated example list and merging two models trained on
-    the halves produce equal models.
-    """
-    if first.alpha != second.alpha:
-        raise ValueError("cannot merge models with different alpha")
-    if first.enabled_kinds != second.enabled_kinds:
-        raise ValueError("cannot merge models with different enabled kinds")
-
-    class_count = dict(first.class_count)
-    for country, count in second.class_count.items():
-        class_count[country] = class_count.get(country, 0) + count
-
-    value_count: dict[str, dict[FeatureKind, dict[str, int]]] = {
-        country: {kind: dict(values) for kind, values in per_kind.items()}
-        for country, per_kind in first.value_count.items()
-    }
-    kind_total: dict[str, dict[FeatureKind, int]] = {
-        country: dict(totals) for country, totals in first.kind_total.items()
-    }
-    for country, per_kind in second.value_count.items():
-        target = value_count.setdefault(country, {})
-        for kind, values in per_kind.items():
-            counts = target.setdefault(kind, {})
-            for value, count in values.items():
-                counts[value] = counts.get(value, 0) + count
-    for country, totals in second.kind_total.items():
-        target_totals = kind_total.setdefault(country, {})
-        for kind, count in totals.items():
-            target_totals[kind] = target_totals.get(kind, 0) + count
-    for country in class_count:
-        value_count.setdefault(country, {})
-        kind_total.setdefault(country, {})
-
-    vocabulary = {
-        kind: set(first.vocabulary.get(kind, set())) | set(second.vocabulary.get(kind, set()))
-        for kind in first.enabled_kinds
-    }
-    return NaiveBayesModel(
-        alpha=first.alpha,
-        enabled_kinds=first.enabled_kinds,
-        class_count=class_count,
-        value_count=value_count,
-        kind_total=kind_total,
-        vocabulary=vocabulary,
-    )
-
-
 def model_to_dict(model: NaiveBayesModel, config: dict | None = None) -> dict[str, Any]:
     """The JSON document for a model; fully deterministic for equal models."""
     document: dict[str, Any] = {
@@ -449,7 +399,7 @@ def load_model(path: str | Path) -> NaiveBayesModel:
         raise CorruptModel(f"cannot read model file: {exc}") from exc
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModel(f"model file is not valid JSON: {exc}") from None
     return model_from_dict(document)
 
@@ -458,7 +408,7 @@ def load_model_config(path: str | Path) -> dict | None:
     """The config echo embedded in a model file, if any."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModel(f"cannot read model file: {exc}") from None
     if not isinstance(document, dict):
         raise CorruptModel("model document must be a JSON object")

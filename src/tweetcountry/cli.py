@@ -18,8 +18,9 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
+from .atomic import open_atomic
 from .bayes import (
     load_model,
     load_model_config,
@@ -60,7 +61,7 @@ from .evaluation import (
     write_per_country_csv,
     write_per_country_json,
 )
-from .features import ALL_KINDS, extract_features
+from .features import ALL_KINDS, FeatureKind, extract_features
 from .geocode import (
     GeocodeCache,
     Geocoder,
@@ -70,7 +71,7 @@ from .geocode import (
     load_gazetteer,
     load_reverse_points,
 )
-from .tweet_model import label_of, parse_tweet, to_flat_dict
+from .tweet_model import TweetRecord, label_of, parse_tweet, to_flat_dict
 
 log = logging.getLogger(__name__)
 
@@ -209,14 +210,14 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
-def cmd_label(cfg: SimpleNamespace) -> int:
-    """Read raw tweets, write records whose country could be derived."""
-    _require_paths(cfg, "input", "output")
-    geocoder = build_geocoder(cfg)
-    totals = {"total": 0, "labeled": 0, "skipped": 0, "malformed": 0}
-    with open(cfg.input, "r", encoding="utf-8") as source, open(
-        cfg.output, "w", encoding="utf-8"
-    ) as sink:
+def _records(cfg: SimpleNamespace, totals: dict[str, int]) -> Iterator[tuple[int, TweetRecord]]:
+    """Yield (line number, record) for each well-formed line of --input.
+
+    Blank lines are skipped; every other line counts in totals["total"]. A
+    malformed line counts in totals["malformed"], or with --strict raises
+    MalformedInput prefixed with path:lineno.
+    """
+    with open(cfg.input, "r", encoding="utf-8") as source:
         for lineno, raw in enumerate(source, 1):
             line = raw.strip()
             if not line:
@@ -229,6 +230,16 @@ def cmd_label(cfg: SimpleNamespace) -> int:
                     raise MalformedInput(f"{cfg.input}:{lineno}: {exc}") from None
                 totals["malformed"] += 1
                 continue
+            yield lineno, record
+
+
+def cmd_label(cfg: SimpleNamespace) -> int:
+    """Read raw tweets, write records whose country could be derived."""
+    _require_paths(cfg, "input", "output")
+    geocoder = build_geocoder(cfg)
+    totals = {"total": 0, "labeled": 0, "skipped": 0, "malformed": 0}
+    with open_atomic(cfg.output) as sink:
+        for lineno, record in _records(cfg, totals):
             try:
                 country = label_of(record, geocoder)
             except ResolverFailure as exc:
@@ -294,21 +305,8 @@ def cmd_classify(cfg: SimpleNamespace) -> int:
         case_fold = trained_config["case_fold"]
     geocoder = build_geocoder(cfg)
     totals = {"total": 0, "classified": 0, "malformed": 0}
-    with open(cfg.input, "r", encoding="utf-8") as source, open(
-        cfg.output, "w", encoding="utf-8"
-    ) as sink:
-        for lineno, raw in enumerate(source, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            totals["total"] += 1
-            try:
-                record = parse_tweet(line)
-            except MalformedInput as exc:
-                if cfg.strict:
-                    raise MalformedInput(f"{cfg.input}:{lineno}: {exc}") from None
-                totals["malformed"] += 1
-                continue
+    with open_atomic(cfg.output) as sink:
+        for _, record in _records(cfg, totals):
             vector = extract_features(record, geocoder, model.enabled_kinds, case_fold=case_fold)
             ranked = log_posterior(model, vector, uniform_priors=cfg.uniform_priors)
             predicted = ranked[0][0]
@@ -370,14 +368,19 @@ def cmd_evaluate(cfg: SimpleNamespace) -> int:
     return EXIT_OK
 
 
+def _parse_kind_sets(text: str) -> list[tuple[FeatureKind, ...]]:
+    """Semicolon-separated kind sets, e.g. 'location;location+timezone'."""
+    kind_sets = [parse_kinds_label(part) for part in text.split(";") if part.strip()]
+    if not kind_sets:
+        raise ValueError("no feature kind sets given")
+    return kind_sets
+
+
 def _ablation_subsets(cfg: SimpleNamespace):
     if cfg.preset and cfg.subsets:
         raise ValueError("give either --preset or --subsets, not both")
     if cfg.subsets:
-        parts = [part.strip() for part in cfg.subsets.split(";") if part.strip()]
-        if not parts:
-            raise ValueError("no feature subsets given")
-        return [parse_kinds_label(part) for part in parts]
+        return _parse_kind_sets(cfg.subsets)
     preset = cfg.preset or "table1"
     if preset not in ABLATION_PRESETS:
         known = ", ".join(sorted(ABLATION_PRESETS))
@@ -430,11 +433,7 @@ def cmd_report(cfg: SimpleNamespace) -> int:
     geocoder = build_geocoder(cfg)
     train_data = load_labeled_ndjson(cfg.input)
     eval_data = load_labeled_ndjson(cfg.eval_input) if cfg.eval_input else None
-    if cfg.kind_sets:
-        parts = [part.strip() for part in cfg.kind_sets.split(";") if part.strip()]
-        kind_sets = [parse_kinds_label(part) for part in parts]
-    else:
-        kind_sets = list(REPORT_KIND_SETS)
+    kind_sets = _parse_kind_sets(cfg.kind_sets) if cfg.kind_sets else list(REPORT_KIND_SETS)
     region = load_region(cfg.region_file) if cfg.region_file else default_region()
     report = per_country_report(
         train_data,
@@ -535,6 +534,11 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
         choices=("standard", "inverted"),
         help="train on k-1 folds (standard) or on 1 fold (inverted)",
     )
+    _add_uniform_priors_flag(parser)
+    _add_report_flags(parser)
+
+
+def _add_uniform_priors_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--uniform-priors",
         dest="uniform_priors",
@@ -542,6 +546,9 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="score with equal class priors (default: off)",
     )
+
+
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--report-json", dest="report_json", help="write the JSON report here")
     parser.add_argument("--report-csv", dest="report_csv", help="write the CSV report here")
 
@@ -585,13 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="abort on the first malformed record",
     )
-    classify_p.add_argument(
-        "--uniform-priors",
-        dest="uniform_priors",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="score with equal class priors (default: off)",
-    )
+    _add_uniform_priors_flag(classify_p)
     _add_config_flag(classify_p)
     _add_geocoder_flags(classify_p)
     # Kinds and alpha come from the model, so classify takes neither flag.
@@ -640,15 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(report_p)
     _add_geocoder_flags(report_p)
     _add_feature_flags(report_p)
-    report_p.add_argument(
-        "--uniform-priors",
-        dest="uniform_priors",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="score with equal class priors (default: off)",
-    )
-    report_p.add_argument("--report-json", dest="report_json", help="write the JSON report here")
-    report_p.add_argument("--report-csv", dest="report_csv", help="write the CSV report here")
+    _add_uniform_priors_flag(report_p)
+    _add_report_flags(report_p)
     report_p.set_defaults(handler=cmd_report)
 
     cache_p = commands.add_parser("cache", help="inspect or compact a geocode cache")

@@ -35,7 +35,7 @@ from .features import (
     kind_from_name,
     ordered_kinds,
 )
-from .tweet_model import OTHER_LABEL, TweetRecord, is_country_code, record_from_dict
+from .tweet_model import OTHER_LABEL, TweetRecord, decode_object, is_country_code, record_from_dict
 
 DEFAULT_MIN_COUNT = 15
 
@@ -118,7 +118,10 @@ class LabeledDataset:
 
 
 def load_labeled_ndjson(path: str | Path) -> LabeledDataset:
-    """Read a labeled NDJSON file: flattened record fields plus "country"."""
+    """Read a labeled NDJSON file: flattened record fields plus "country".
+
+    The first bad line raises MalformedInput, prefixed with path:lineno.
+    """
     path = Path(path)
     examples: list[tuple[TweetRecord, str]] = []
     with path.open("r", encoding="utf-8") as handle:
@@ -127,15 +130,13 @@ def load_labeled_ndjson(path: str | Path) -> LabeledDataset:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise MalformedInput(f"{path}:{lineno}: record must be a JSON object")
-            label = obj.get("country")
-            if not is_country_code(label):
-                raise MalformedInput(f"{path}:{lineno}: missing or invalid country label")
-            examples.append((record_from_dict(obj), label))
+                obj = decode_object(line)
+                label = obj.get("country")
+                if not is_country_code(label):
+                    raise MalformedInput("missing or invalid country label")
+                examples.append((record_from_dict(obj), label))
+            except MalformedInput as exc:
+                raise MalformedInput(f"{path}:{lineno}: {exc}") from None
     return LabeledDataset(examples, source=str(path))
 
 
@@ -686,20 +687,6 @@ def diagnostic_tags(
     ):
         tags.add(BIG_CLASS)
     return tags
-
-
-def diagnose(
-    model: NaiveBayesModel,
-    vector: FeatureVector,
-    true_label: str,
-    *,
-    uniform_priors: bool = False,
-) -> set[str]:
-    """Empty set for a correct prediction, otherwise the diagnostic tags."""
-    predicted = classify(model, vector, uniform_priors=uniform_priors)
-    if predicted == true_label:
-        return set()
-    return diagnostic_tags(model, vector, predicted)
 
 
 def write_evaluation_json(report: EvaluationReport, path: str | Path) -> None:

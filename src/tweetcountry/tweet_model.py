@@ -112,11 +112,14 @@ def _as_float(value: Any, what: str) -> float:
 
 
 def _coordinate_pair(value: Any, what: str) -> tuple[float, float] | None:
-    """Pull a raw two-number list out of a GeoJSON-style value, or None."""
+    """Pull a raw two-number list out of a GeoJSON-style value, or None.
+
+    A GeoJSON object is unwrapped once; its "coordinates" must be the list.
+    """
+    if isinstance(value, Mapping):
+        value = value.get("coordinates")
     if value is None:
         return None
-    if isinstance(value, Mapping):
-        return _coordinate_pair(value.get("coordinates"), what)
     _require(isinstance(value, (list, tuple)), f"{what} must be a two-number array")
     _require(len(value) == 2, f"{what} must have exactly two entries")
     return _as_float(value[0], what), _as_float(value[1], what)
@@ -222,15 +225,22 @@ def record_from_dict(obj: Mapping[str, Any]) -> TweetRecord:
     )
 
 
-def parse_tweet(raw: str | bytes) -> TweetRecord:
-    """Parse one raw tweet JSON document into a TweetRecord."""
+def decode_object(raw: str | bytes) -> dict[str, Any]:
+    """Decode one JSON document that must be an object, or raise MalformedInput.
+
+    Nesting too deep for the decoder is malformed input too.
+    """
     try:
         obj = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise MalformedInput("tweet must be a JSON object")
-    return record_from_dict(obj)
+    _require(isinstance(obj, dict), "tweet must be a JSON object")
+    return obj
+
+
+def parse_tweet(raw: str | bytes) -> TweetRecord:
+    """Parse one raw tweet JSON document into a TweetRecord."""
+    return record_from_dict(decode_object(raw))
 
 
 def to_flat_dict(tweet: TweetRecord) -> dict[str, Any]:

@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from tweetcountry.bayes import (
     load_model,
     load_model_config,
     log_posterior,
-    merge_models,
     model_from_dict,
     model_to_dict,
     save_model,
@@ -268,25 +268,26 @@ class TestCompiledScoring:
         assert json.loads((tmp_path / "model.json").read_text(encoding="utf-8")) == before
 
 
-class TestMerge:
+class TestAdditivity:
     @given(example_lists, st.data())
     @settings(max_examples=60, deadline=None)
-    def test_merge_equals_training_on_union(self, examples, data):
+    def test_counts_add_over_any_split(self, examples, data):
         cut = data.draw(st.integers(min_value=1, max_value=len(examples) - 1))
-        whole = train(examples)
-        merged = merge_models(train(examples[:cut]), train(examples[cut:]))
-        assert merged == whole
+        whole, first, second = train(examples), train(examples[:cut]), train(examples[cut:])
 
-    def test_alpha_mismatch(self, tiny_examples):
-        with pytest.raises(ValueError):
-            merge_models(train(tiny_examples, alpha=1.0), train(tiny_examples, alpha=0.5))
+        def added(table):
+            return Counter(table(first)) + Counter(table(second))
 
-    def test_kind_mismatch(self, tiny_examples):
-        with pytest.raises(ValueError):
-            merge_models(
-                train(tiny_examples, enabled_kinds=(K.TIMEZONE,)),
-                train(tiny_examples),
-            )
+        assert Counter(whole.class_count) == added(lambda m: m.class_count)
+        for kind in whole.enabled_kinds:
+            assert whole.vocabulary[kind] == first.vocabulary[kind] | second.vocabulary[kind]
+            for country in whole.class_count:
+                assert Counter(whole.value_count[country].get(kind, {})) == added(
+                    lambda m: m.value_count.get(country, {}).get(kind, {})
+                )
+                assert whole.kind_total[country].get(kind, 0) == sum(
+                    m.kind_total.get(country, {}).get(kind, 0) for m in (first, second)
+                )
 
 
 class TestPersistence:
@@ -423,6 +424,13 @@ class TestModelValidation:
         path.write_text("{broken", encoding="utf-8")
         with pytest.raises(CorruptModel):
             load_model(path)
+
+    @pytest.mark.parametrize("read", [load_model, load_model_config])
+    def test_nesting_too_deep_to_decode(self, tmp_path, read):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        with pytest.raises(CorruptModel, match="not valid JSON|cannot read"):
+            read(path)
 
     def test_deep_copy_tamper_detection(self, tiny_model):
         # flipping any single count breaks at least one invariant

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import tweetcountry
+from tweetcountry import cli
 from tweetcountry.cli import (
     EXIT_GEOCODER,
     EXIT_INPUT,
@@ -16,7 +19,8 @@ from tweetcountry.cli import (
     main,
     parse_config_file,
 )
-from tweetcountry.tweet_model import to_flat_dict
+from tweetcountry.evaluation import load_labeled_ndjson
+from tweetcountry.tweet_model import parse_tweet, to_flat_dict
 
 from conftest import make_separable_corpus
 
@@ -106,6 +110,29 @@ class TestLabel:
 
     def test_missing_input_flag(self, tmp_path):
         assert main(["label", "--output", str(tmp_path / "out")]) == EXIT_INPUT
+
+    def test_flat_layout_round_trips_through_labeled_file(self, tmp_path):
+        # Every key of the flat layout documented in the README.
+        flat = {
+            "id": "7",
+            "text": "hallo",
+            "user_location": "Leiden",
+            "time_zone": "Amsterdam",
+            "utc_offset_seconds": 3600,
+            "tweet_language": "nl",
+            "user_language": "en",
+            "lon": 4.48431747,
+            "lat": 52.1674388,
+            "place_country_code": "NL",
+        }
+        source = tmp_path / "raw.ndjson"
+        source.write_text(json.dumps(flat) + "\n", encoding="utf-8")
+        output = tmp_path / "labeled.ndjson"
+        assert main(["label", "--input", str(source), "--output", str(output)]) == EXIT_OK
+        row = json.loads(output.read_text(encoding="utf-8"))
+        assert {key: row[key] for key in flat} == flat
+        data = load_labeled_ndjson(output)
+        assert data.examples == [(parse_tweet(json.dumps(flat)), "NL")]
 
 
 class TestTrain:
@@ -544,6 +571,102 @@ class TestConfigResolution:
             ["evaluate", "--input", str(labeled_file), "--gazetteer", str(gazetteer)]
         )
         assert code == EXIT_GEOCODER
+
+
+DEEP_LINE = "[" * 200_000
+
+
+def write_place_coded_tweets(path, lines_after=()):
+    """Three raw tweets that label (place code) and classify alike, then extra lines."""
+    lines = [
+        json.dumps({"id": str(i), "place_country_code": "NL", "time_zone": "zone AA"})
+        for i in range(3)
+    ]
+    path.write_text("\n".join(lines + list(lines_after)) + "\n", encoding="utf-8")
+
+
+def run_record_command(command, raw, output, model_file, *extra):
+    argv = [command, "--input", str(raw), "--output", str(output), *extra]
+    if command == "classify":
+        argv += ["--model", str(model_file)]
+    return main(argv)
+
+
+@pytest.mark.parametrize("command", ["label", "classify"])
+class TestRecordCommands:
+    """label and classify share one input reader and one atomic output."""
+
+    def test_deeply_nested_line_is_malformed(self, tmp_path, model_file, capsys, command):
+        raw = tmp_path / "raw.ndjson"
+        write_place_coded_tweets(raw, [DEEP_LINE])
+        output = tmp_path / "out.ndjson"
+        assert run_record_command(command, raw, output, model_file) == EXIT_OK
+        summary = read_summary(capsys)
+        assert (summary["total"], summary["malformed"]) == (4, 1)
+        assert len(output.read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_deeply_nested_line_with_strict(self, tmp_path, model_file, capsys, command):
+        raw = tmp_path / "raw.ndjson"
+        write_place_coded_tweets(raw, [DEEP_LINE])
+        output = tmp_path / "out.ndjson"
+        assert run_record_command(command, raw, output, model_file, "--strict") == EXIT_INPUT
+        assert f"{raw}:4: invalid JSON" in capsys.readouterr().err
+
+    def test_strict_abort_keeps_previous_output(self, tmp_path, model_file, command):
+        raw = tmp_path / "raw.ndjson"
+        write_place_coded_tweets(raw, ["{broken"])
+        output = tmp_path / "out.ndjson"
+        output.write_text("previous run\n", encoding="utf-8")
+        before = sorted(os.listdir(tmp_path))
+        assert run_record_command(command, raw, output, model_file, "--strict") == EXIT_INPUT
+        assert output.read_text(encoding="utf-8") == "previous run\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_failure_after_records_keeps_previous_output(
+        self, tmp_path, model_file, monkeypatch, command
+    ):
+        raw = tmp_path / "raw.ndjson"
+        write_place_coded_tweets(raw)
+        output = tmp_path / "out.ndjson"
+        output.write_text("previous run\n", encoding="utf-8")
+        before = sorted(os.listdir(tmp_path))
+        written = []
+
+        def fail_on_third_record(obj):
+            if len(written) == 2:
+                raise RuntimeError("crash mid-run")
+            written.append(obj)
+            return json.dumps(obj)
+
+        monkeypatch.setattr(cli, "_dump_line", fail_on_third_record)
+        with pytest.raises(RuntimeError, match="crash mid-run"):
+            run_record_command(command, raw, output, model_file)
+        assert len(written) == 2
+        assert output.read_text(encoding="utf-8") == "previous run\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_evaluate_deeply_nested_line_is_input_error(tmp_path, labeled_file, capsys):
+    with labeled_file.open("a", encoding="utf-8") as handle:
+        handle.write(DEEP_LINE + "\n")
+    assert main(["evaluate", "--input", str(labeled_file), "--k", "2"]) == EXIT_INPUT
+    assert f"{labeled_file}:101: invalid JSON" in capsys.readouterr().err
+
+
+def test_classify_deeply_nested_model_is_model_error(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(DEEP_LINE, encoding="utf-8")
+    raw = tmp_path / "raw.ndjson"
+    write_place_coded_tweets(raw)
+    output = tmp_path / "out.ndjson"
+    assert run_record_command("classify", raw, output, model) == EXIT_MODEL
+    assert "model error" in capsys.readouterr().err
+    assert not output.exists()
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in tweetcountry.__all__ if not hasattr(tweetcountry, name)]
+    assert missing == []
 
 
 def test_module_entry_point():

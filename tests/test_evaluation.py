@@ -27,7 +27,6 @@ from tweetcountry.evaluation import (
     config_digest,
     cross_validate,
     default_region,
-    diagnose,
     diagnostic_tags,
     fraction_json,
     kfold_split,
@@ -510,22 +509,22 @@ class TestPerCountryReport:
             per_country_report(skewed_data, kind_sets=[(K.TIMEZONE,)], min_count=0)
 
 
-class TestDiagnostics:
-    def test_correct_prediction_has_no_tags(self, tiny_model):
-        assert diagnose(tiny_model, {K.TIMEZONE: "amsterdam"}, "NL") == set()
+def predicted_tags(model, vector):
+    """The tags classify attaches: diagnostic_tags for the model's own prediction."""
+    return diagnostic_tags(model, vector, classify(model, vector))
 
+
+class TestDiagnostics:
     def test_limited_information_and_big_class(self, tiny_model):
-        tags = diagnose(tiny_model, {K.TIMEZONE: "amsterdam"}, "GB")
+        tags = predicted_tags(tiny_model, {K.TIMEZONE: "amsterdam"})
         assert tags == {LIMITED_INFORMATION, BIG_CLASS}
 
     def test_oov_only(self, tiny_model):
-        tags = diagnose(
-            tiny_model, {K.TIMEZONE: "mars", K.LOCATION: "pluto"}, "GB"
-        )
+        tags = predicted_tags(tiny_model, {K.TIMEZONE: "mars", K.LOCATION: "pluto"})
         assert tags == {OOV_ONLY}
 
     def test_oov_single_entry_also_limited(self, tiny_model):
-        tags = diagnose(tiny_model, {K.TIMEZONE: "mars"}, "GB")
+        tags = predicted_tags(tiny_model, {K.TIMEZONE: "mars"})
         assert tags == {LIMITED_INFORMATION, OOV_ONLY}
 
     def test_big_class_alone(self):
@@ -533,7 +532,7 @@ class TestDiagnostics:
             ({K.TWEET_LANGUAGE: "en", K.UTC_OFFSET: "0"}, "GB")
         ]
         model = train(examples)
-        tags = diagnose(model, {K.TWEET_LANGUAGE: "en", K.UTC_OFFSET: "0"}, "GB")
+        tags = predicted_tags(model, {K.TWEET_LANGUAGE: "en", K.UTC_OFFSET: "0"})
         assert tags == {BIG_CLASS}
 
     def test_limited_information_alone(self):
@@ -545,11 +544,12 @@ class TestDiagnostics:
         model = train(examples)
         # "vv" is majority-GB, but the US prior still wins the prediction
         assert majority_class(model, K.TWEET_LANGUAGE, "vv") == "GB"
-        tags = diagnose(model, {K.TWEET_LANGUAGE: "vv"}, "GB")
+        assert classify(model, {K.TWEET_LANGUAGE: "vv"}) == "US"
+        tags = predicted_tags(model, {K.TWEET_LANGUAGE: "vv"})
         assert tags == {LIMITED_INFORMATION}
 
     def test_empty_vector_is_limited(self, tiny_model):
-        assert diagnose(tiny_model, {}, "GB") == {LIMITED_INFORMATION}
+        assert predicted_tags(tiny_model, {}) == {LIMITED_INFORMATION}
 
     def test_majority_class_tie_picks_smaller_code(self):
         examples = [
@@ -594,6 +594,24 @@ class TestLabeledIO:
         with pytest.raises(MalformedInput) as excinfo:
             load_labeled_ndjson(path)
         assert ":2:" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"lon": 10.0, "lat": 95.0, "country": "NL"}', "latitude out of range: 95.0"),
+            ('{"time_zone": 7, "country": "NL"}', "field 'time_zone' must be a string"),
+            ('["NL"]', "must be a JSON object"),
+            ("[" * 200_000, "invalid JSON"),
+        ],
+        ids=["record-check", "field-type", "not-an-object", "nested-too-deep"],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "data.ndjson"
+        path.write_text('{"id": "1", "country": "NL"}\n\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedInput) as excinfo:
+            load_labeled_ndjson(path)
+        assert str(excinfo.value).startswith(f"{path}:3: ")
+        assert message in str(excinfo.value)
 
     def test_dataset_rejects_bad_labels(self):
         with pytest.raises(ValueError):

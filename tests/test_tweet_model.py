@@ -176,6 +176,16 @@ class TestValidation:
     def test_invalid_json(self):
         with pytest.raises(MalformedInput):
             parse_tweet("{not json")
+        with pytest.raises(MalformedInput, match="invalid JSON"):
+            parse_tweet("[" * 200_000)
+
+    @pytest.mark.parametrize("levels", [2, 5000])
+    def test_geojson_object_unwrapped_once(self, levels):
+        nested = [4.0, 52.0]
+        for _ in range(levels):
+            nested = {"coordinates": nested}
+        with pytest.raises(MalformedInput, match="coordinates must be a two-number array"):
+            record_from_dict({"coordinates": nested})
 
     def test_direct_construction_checks_invariants(self):
         with pytest.raises(MalformedInput):
