@@ -213,21 +213,24 @@ def _dump_line(obj: dict) -> str:
 def _records(cfg: SimpleNamespace, totals: dict[str, int]) -> Iterator[tuple[int, TweetRecord]]:
     """Yield (line number, record) for each well-formed line of --input.
 
-    Blank lines are skipped; every other line counts in totals["total"]. A
-    malformed line counts in totals["malformed"], or with --strict raises
-    MalformedInput prefixed with path:lineno.
+    Lines end at "\n". Blank lines are skipped; every other line counts in
+    totals["total"]. A malformed line, bytes that are not UTF-8 included,
+    counts in totals["malformed"], or with --strict raises MalformedInput
+    prefixed with path:lineno.
     """
-    with open(cfg.input, "r", encoding="utf-8") as source:
+    with open(cfg.input, "rb") as source:
         for lineno, raw in enumerate(source, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            totals["total"] += 1
             try:
-                record = parse_tweet(line)
-            except MalformedInput as exc:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                record, error = parse_tweet(line), None
+            except (UnicodeDecodeError, MalformedInput) as exc:
+                record, error = None, exc
+            totals["total"] += 1
+            if error is not None:
                 if cfg.strict:
-                    raise MalformedInput(f"{cfg.input}:{lineno}: {exc}") from None
+                    raise MalformedInput(f"{cfg.input}:{lineno}: {error}") from None
                 totals["malformed"] += 1
                 continue
             yield lineno, record

@@ -120,22 +120,23 @@ class LabeledDataset:
 def load_labeled_ndjson(path: str | Path) -> LabeledDataset:
     """Read a labeled NDJSON file: flattened record fields plus "country".
 
-    The first bad line raises MalformedInput, prefixed with path:lineno.
+    Lines end at "\n". The first bad line, bytes that are not UTF-8
+    included, raises MalformedInput, prefixed with path:lineno.
     """
     path = Path(path)
     examples: list[tuple[TweetRecord, str]] = []
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = decode_object(line)
                 label = obj.get("country")
                 if not is_country_code(label):
                     raise MalformedInput("missing or invalid country label")
                 examples.append((record_from_dict(obj), label))
-            except MalformedInput as exc:
+            except (UnicodeDecodeError, MalformedInput) as exc:
                 raise MalformedInput(f"{path}:{lineno}: {exc}") from None
     return LabeledDataset(examples, source=str(path))
 

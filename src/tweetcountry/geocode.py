@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -27,6 +29,8 @@ NEGATIVE_MARK = "-"
 REVERSE_KEY_PREFIX = "reverse:"
 EARTH_RADIUS_KM = 6371.0088
 DEFAULT_MAX_DISTANCE_KM = 300.0
+# Degrees added to each side of a query's latitude band, far above float rounding.
+_BAND_MARGIN_DEG = 1e-6
 
 _TOKEN_TRIM = ".,!?;:()[]\"'"
 
@@ -224,19 +228,28 @@ class GeocodeCache:
             return entry
 
     def put(self, key: str, country: str | None, source: str) -> CacheEntry:
+        """Record an outcome, and append it to the file if the cache has one.
+
+        The line is encoded first, so a key that is not valid Unicode text
+        raises before memory or file changes. Each entry is appended with one
+        write on a descriptor opened for it; no handle stays open between calls.
+        """
         if not key:
             raise ValueError("cache key must be non-empty")
         if country is not None and not is_country_code(country):
             raise ValueError(f"invalid cached country {country!r}")
         entry = CacheEntry(country, source, datetime.now(timezone.utc).isoformat())
+        line = "\t".join((_escape_key(key), country or NEGATIVE_MARK, source, entry.timestamp))
+        data = (line + "\n").encode("utf-8")
         with self._lock:
             self._entries[key] = entry
             if self._path is not None:
-                line = "\t".join(
-                    (_escape_key(key), country or NEGATIVE_MARK, source, entry.timestamp)
-                )
-                with self._path.open("a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
+                fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                try:
+                    while data:
+                        data = data[os.write(fd, data) :]
+                finally:
+                    os.close(fd)
         return entry
 
     def stats(self) -> dict:
@@ -280,6 +293,8 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dphi = math.radians(lat2 - lat1)
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
+    if a > 1.0:  # rounding, for nearly antipodal points
+        a = 1.0
     return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
@@ -295,20 +310,38 @@ class ReversePointIndex:
     """Nearest labeled point lookup with a distance ceiling.
 
     Points far out at sea match nothing; the ceiling keeps a desk-scale
-    fixture from claiming the whole planet.
+    fixture from claiming the whole planet. The ceiling is inclusive, and of
+    equally near points the later one in the list wins.
     """
 
     def __init__(self, points: Iterable[ReferencePoint], max_distance_km: float = DEFAULT_MAX_DISTANCE_KM):
         self._points = list(points)
+        for point in self._points:
+            if not -90.0 <= point.lat <= 90.0:
+                raise ValueError(f"latitude out of range: {point.lat}")
         self.max_distance_km = max_distance_km
+        # Point positions in latitude order, and those latitudes, for the band search.
+        self._by_lat = sorted(range(len(self._points)), key=lambda i: self._points[i].lat)
+        self._lats = [self._points[i].lat for i in self._by_lat]
 
     def __len__(self) -> int:
         return len(self._points)
 
     def nearest_country(self, lat: float, lon: float) -> str | None:
+        """Country of the nearest point within the ceiling, or None.
+
+        lat must lie within 90 degrees, as Geocoder.reverse checks. Only points
+        inside the query's latitude band are measured: the distance is at least
+        the earth's radius times the latitude difference, so a point further
+        off in latitude than the ceiling's angle cannot match. Candidates are
+        visited in list order, so the answer equals a scan over every point.
+        """
         best: str | None = None
         best_distance = self.max_distance_km
-        for point in self._points:
+        reach = math.degrees(best_distance / EARTH_RADIUS_KM) + _BAND_MARGIN_DEG
+        band = self._by_lat[bisect_left(self._lats, lat - reach) : bisect_right(self._lats, lat + reach)]
+        for index in sorted(band):
+            point = self._points[index]
             distance = haversine_km(lat, lon, point.lat, point.lon)
             if distance <= best_distance:
                 best = point.country

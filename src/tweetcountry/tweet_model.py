@@ -84,12 +84,22 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedInput(message)
 
 
+def _utf8_text(value: str, key: str) -> str:
+    """value, if it encodes as UTF-8; a lone surrogate such as "\\ud800" does not."""
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedInput(f"field {key!r} holds a lone surrogate") from None
+    return value
+
+
 def _opt_str(obj: Mapping[str, Any], key: str) -> str | None:
     value = obj.get(key)
     if value is None:
         return None
     _require(isinstance(value, str), f"field {key!r} must be a string, got {type(value).__name__}")
-    return value if value != "" else None
+    return _utf8_text(value, key) if value != "" else None
 
 
 def _opt_int(obj: Mapping[str, Any], key: str) -> int | None:
@@ -131,7 +141,7 @@ def _parse_id(obj: Mapping[str, Any]) -> str:
         if value is None:
             continue
         if isinstance(value, str):
-            return value
+            return _utf8_text(value, key)
         if isinstance(value, int) and not isinstance(value, bool):
             return str(value)
         raise MalformedInput(f"field {key!r} must be a string or integer, got {value!r}")
@@ -160,8 +170,9 @@ def _parse_lon_lat(obj: Mapping[str, Any]) -> tuple[float | None, float | None]:
 def record_from_dict(obj: Mapping[str, Any]) -> TweetRecord:
     """Build a TweetRecord from a decoded JSON object of either layout.
 
-    Unknown keys are ignored. Present fields with the wrong type, out-of-range
-    coordinates or offsets, and invalid country codes raise MalformedInput.
+    Unknown keys are ignored. Present fields with the wrong type, strings that
+    do not encode as UTF-8, out-of-range coordinates or offsets, and invalid
+    country codes raise MalformedInput.
     """
     _require(isinstance(obj, Mapping), "tweet must be a JSON object")
 
@@ -210,6 +221,7 @@ def record_from_dict(obj: Mapping[str, Any]) -> TweetRecord:
     if text is None:
         text = ""
     _require(isinstance(text, str), f"field 'text' must be a string, got {type(text).__name__}")
+    _utf8_text(text, "text")
 
     return TweetRecord(
         id=_parse_id(obj),

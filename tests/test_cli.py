@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -612,6 +613,50 @@ class TestRecordCommands:
         assert run_record_command(command, raw, output, model_file, "--strict") == EXIT_INPUT
         assert f"{raw}:4: invalid JSON" in capsys.readouterr().err
 
+    def test_bytes_not_utf8_are_malformed(self, tmp_path, model_file, capsys, command):
+        raw = tmp_path / "raw.ndjson"
+        write_place_coded_tweets(raw)
+        lines = raw.read_bytes().splitlines(keepends=True)
+        lines.insert(1, b'{"id": "x", "text": "caf\xff"}\n')
+        raw.write_bytes(b"".join(lines))
+        output = tmp_path / "out.ndjson"
+        assert run_record_command(command, raw, output, model_file) == EXIT_OK
+        summary = read_summary(capsys)
+        assert (summary["total"], summary["malformed"]) == (4, 1)
+        assert len(output.read_text(encoding="utf-8").splitlines()) == 3
+        assert run_record_command(command, raw, output, model_file, "--strict") == EXIT_INPUT
+        assert f"{raw}:2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    def test_lone_surrogate_is_malformed(self, tmp_path, model_file, capsys, command):
+        raw = tmp_path / "raw.ndjson"
+        bad = {"id": "x", "place_country_code": "NL", "user_location": "\ud800"}
+        write_place_coded_tweets(raw, [json.dumps(bad)])
+        assert "\\ud800" in raw.read_text(encoding="utf-8")
+        output = tmp_path / "out.ndjson"
+        cache = tmp_path / "cache.tsv"
+        args = ("--cache", str(cache))
+        assert run_record_command(command, raw, output, model_file, *args) == EXIT_OK
+        summary = read_summary(capsys)
+        assert (summary["total"], summary["malformed"]) == (4, 1)
+        assert len(output.read_text(encoding="utf-8").splitlines()) == 3
+        assert run_record_command(command, raw, output, model_file, *args, "--strict") == EXIT_INPUT
+        assert f"{raw}:4: field 'user_location' holds a lone surrogate" in capsys.readouterr().err
+
+    def test_lines_end_only_at_newline(self, tmp_path, model_file, capsys, command):
+        raw = tmp_path / "raw.ndjson"
+        raw.write_bytes(
+            b'{"id": "0", "place_country_code": "NL"}\r\n'
+            b'{"id": "1",\r "place_country_code": "NL"}\r\n'
+            b'\xc2\xa0\n'
+            b'{"id": "2", "place_country_code": "NL"}'
+        )
+        output = tmp_path / "out.ndjson"
+        assert run_record_command(command, raw, output, model_file) == EXIT_OK
+        summary = read_summary(capsys)
+        assert (summary["total"], summary["malformed"]) == (3, 0)
+        ids = [json.loads(line)["id"] for line in output.read_text(encoding="utf-8").splitlines()]
+        assert ids == ["0", "1", "2"]
+
     def test_strict_abort_keeps_previous_output(self, tmp_path, model_file, command):
         raw = tmp_path / "raw.ndjson"
         write_place_coded_tweets(raw, ["{broken"])
@@ -651,6 +696,46 @@ def test_evaluate_deeply_nested_line_is_input_error(tmp_path, labeled_file, caps
         handle.write(DEEP_LINE + "\n")
     assert main(["evaluate", "--input", str(labeled_file), "--k", "2"]) == EXIT_INPUT
     assert f"{labeled_file}:101: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b'{"id": "caf\xff", "country": "NL"}', "'utf-8' codec can't decode byte 0xff"),
+        (b'{"user_location": "\\ud800", "country": "NL"}', "field 'user_location' holds a lone surrogate"),
+    ],
+    ids=["not-utf8", "lone-surrogate"],
+)
+def test_labeled_text_errors_name_the_line(tmp_path, labeled_file, capsys, command, line, message):
+    with labeled_file.open("ab") as handle:
+        handle.write(line + b"\n")
+    argv = [command, "--input", str(labeled_file)]
+    argv += ["--model", str(tmp_path / "model.json")] if command == "train" else ["--k", "2"]
+    assert main(argv) == EXIT_INPUT
+    assert f"{labeled_file}:101: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_label_to_redirected_dev_stdout_keeps_records_and_summary(tmp_path):
+    raw = tmp_path / "raw.ndjson"
+    write_place_coded_tweets(raw)
+    package_root = str(Path(tweetcountry.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    captured = tmp_path / "captured.txt"
+    with captured.open("wb") as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "tweetcountry", "label", "--input", str(raw), "--output", "/dev/stdout"],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    assert result.returncode == 0, result.stderr
+    lines = captured.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["id"] for line in lines[:3]] == ["0", "1", "2"]
+    summary = json.loads("\n".join(lines[3:]))
+    assert (summary["command"], summary["labeled"]) == ("label", 3)
 
 
 def test_classify_deeply_nested_model_is_model_error(tmp_path, capsys):

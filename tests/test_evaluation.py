@@ -598,20 +598,27 @@ class TestLabeledIO:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ('{"lon": 10.0, "lat": 95.0, "country": "NL"}', "latitude out of range: 95.0"),
-            ('{"time_zone": 7, "country": "NL"}', "field 'time_zone' must be a string"),
-            ('["NL"]', "must be a JSON object"),
-            ("[" * 200_000, "invalid JSON"),
+            (b'{"lon": 10.0, "lat": 95.0, "country": "NL"}', "latitude out of range: 95.0"),
+            (b'{"time_zone": 7, "country": "NL"}', "field 'time_zone' must be a string"),
+            (b'["NL"]', "must be a JSON object"),
+            (b"[" * 200_000, "invalid JSON"),
+            (b'{"user_location": "\\ud800", "country": "NL"}', "field 'user_location' holds a lone surrogate"),
+            (b'{"id": "caf\xff", "country": "NL"}', "'utf-8' codec can't decode byte 0xff"),
         ],
-        ids=["record-check", "field-type", "not-an-object", "nested-too-deep"],
+        ids=["record-check", "field-type", "not-an-object", "nested-too-deep", "lone-surrogate", "not-utf8"],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "data.ndjson"
-        path.write_text('{"id": "1", "country": "NL"}\n\n' + line + "\n", encoding="utf-8")
+        path.write_bytes(b'{"id": "1", "country": "NL"}\n\n' + line + b"\n")
         with pytest.raises(MalformedInput) as excinfo:
             load_labeled_ndjson(path)
         assert str(excinfo.value).startswith(f"{path}:3: ")
         assert message in str(excinfo.value)
+
+    def test_unicode_whitespace_line_is_blank(self, tmp_path):
+        path = tmp_path / "data.ndjson"
+        path.write_text('\u00a0\u2028\x1c\n{"id": "1", "country": "NL"}\r\n', encoding="utf-8")
+        assert load_labeled_ndjson(path).labels() == ["NL"]
 
     def test_dataset_rejects_bad_labels(self):
         with pytest.raises(ValueError):

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tweetcountry import geocode
 from tweetcountry.errors import ConflictingEntry, InvalidQuery, RemoteUnavailable
 from tweetcountry.features import normalize_place
 from tweetcountry.geocode import (
     _TOKEN_TRIM,
     DEFAULT_MAX_DISTANCE_KM,
+    EARTH_RADIUS_KM,
     NEGATIVE_MARK,
     Gazetteer,
     GeocodeCache,
@@ -92,6 +95,27 @@ def reference_lookup(names: dict[str, str], query: str) -> str | None:
 
 _WORDS = st.sampled_from(("new", "York", "san", "jose", "st.", "(b)", "x,", "paris", "é"))
 _SEPARATORS = st.sampled_from((" ", "  ", ", ", ",", "\t"))
+
+
+def linear_nearest(points, max_distance_km, lat, lon):
+    """Every point measured in list order; the later of equal distances wins."""
+    best, best_distance = None, max_distance_km
+    for point in points:
+        distance = haversine_km(lat, lon, point.lat, point.lon)
+        if distance <= best_distance:
+            best, best_distance = point.country, distance
+    return best
+
+
+_LATS = st.one_of(st.sampled_from((-90.0, -89.5, -45.0, 0.0, 45.0, 52.0, 89.5, 90.0)), st.floats(-90.0, 90.0))
+_LONS = st.one_of(st.sampled_from((-180.0, -179.5, 0.0, 4.5, 179.5, 180.0)), st.floats(-180.0, 180.0))
+_FIXED_CEILINGS = st.one_of(
+    st.sampled_from(
+        (0.0, -1.0, -1e-9, math.nan, 300.0, math.pi * EARTH_RADIUS_KM, 2e4, 1e9, math.inf)
+    ),
+    st.floats(0.0, 25_000.0),
+)
+_TIED = [(10.0, 0.0, "NL"), (10.0, 0.0, "BE"), (-90.0, 0.0, "DE")]
 
 
 class TestGazetteer:
@@ -288,6 +312,32 @@ class TestCache:
         assert stats["session_hits"] == 1
         assert stats["session_misses"] == 1
 
+    def test_appends_keep_bytes_and_file_mode(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        cache = GeocodeCache(path)
+        first = cache.put("Zürich", "CH", "gazetteer")
+        second = cache.put("x\ty", None, "points")
+        assert path.read_bytes() == (
+            f"Zürich\tCH\tgazetteer\t{first.timestamp}\n"
+            f"x\\ty\t-\tpoints\t{second.timestamp}\n"
+        ).encode("utf-8")
+        reference = tmp_path / "reference.tsv"
+        reference.open("a").close()
+        assert path.stat().st_mode == reference.stat().st_mode
+
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_unencodable_key_changes_nothing(self, tmp_path, with_file):
+        path = tmp_path / "cache.tsv"
+        cache = GeocodeCache(path if with_file else None)
+        cache.put("a", "NL", "x")
+        before = path.read_bytes() if with_file else None
+        with pytest.raises(UnicodeEncodeError):
+            cache.put("bad \ud800", "FR", "x")
+        assert len(cache) == 1
+        assert cache.get("bad \ud800") is None
+        if with_file:
+            assert path.read_bytes() == before
+
     def test_compact_dedupes_and_sorts(self, tmp_path):
         path = tmp_path / "cache.tsv"
         cache = GeocodeCache(path)
@@ -325,6 +375,70 @@ class TestReverseIndex:
         # London to Paris, about 344 km
         distance = haversine_km(51.5074, -0.1278, 48.8566, 2.3522)
         assert abs(distance - 344) < 5
+
+    def test_nearly_antipodal_points_have_a_distance(self):
+        # rounding put the haversine term just above 1 here, a math domain error
+        distance = haversine_km(46.16290411904106, -25.807675899365506, -46.16290411904006, 154.1923241006345)
+        assert distance == pytest.approx(math.pi * EARTH_RADIUS_KM)
+
+    @given(
+        st.lists(st.tuples(_LATS, st.one_of(st.none(), _LONS), st.sampled_from(("NL", "BE", "DE"))), max_size=8),
+        _LATS,
+        _LONS,
+        st.one_of(_FIXED_CEILINGS, st.integers(0, 7)),
+    )
+    @settings(max_examples=500, deadline=None)
+    # Later of two equal points wins, also when it lies further south; a point
+    # exactly at the ceiling matches, also where the ceiling's angle rounds
+    # below the latitude difference; a ceiling just below it does not;
+    # ceilings of 0, pi*R, at a pole, negative, NaN; a NaN query.
+    @example(_TIED, 9.0, 0.0, 0)
+    @example([(16.4, None, "NL")], 45.0, 0.0, 0)
+    @example([(1.0, 0.0, "NL"), (-1.0, 0.0, "BE")], 0.0, 0.0, 300.0)
+    @example(_TIED, 9.0, 0.0, haversine_km(9.0, 0.0, 10.0, 0.0) * 0.999)
+    @example(_TIED, 10.0, 0.0, 0.0)
+    @example(_TIED, 89.0, 180.0, math.pi * EARTH_RADIUS_KM)
+    @example(_TIED, -90.0, 123.0, 1e-6)
+    @example(_TIED, 10.0, 0.0, -1.0)
+    @example(_TIED, 10.0, 0.0, math.nan)
+    @example(_TIED, math.nan, 0.0, math.inf)
+    def test_matches_linear_scan(self, rows, lat, lon, ceiling):
+        # A point without a longitude sits on the query's meridian, where its
+        # distance is the latitude difference alone; an integer ceiling is
+        # the exact distance of that point, so it sits on the ceiling.
+        points = [ReferencePoint(p_lat, lon if p_lon is None else p_lon, code, "") for p_lat, p_lon, code in rows]
+        if isinstance(ceiling, int):
+            if not points:
+                return
+            target = points[ceiling % len(points)]
+            ceiling = haversine_km(lat, lon, target.lat, target.lon)
+        index = ReversePointIndex(points, max_distance_km=ceiling)
+        assert index.nearest_country(lat, lon) == linear_nearest(points, ceiling, lat, lon)
+
+    def test_rejects_latitude_past_a_pole(self):
+        with pytest.raises(ValueError, match="latitude out of range"):
+            ReversePointIndex([ReferencePoint(100.0, 0.0, "NO", "b")])
+
+    def test_band_bounds_distance_calls(self, monkeypatch):
+        index = default_reverse_index()
+        calls = []
+
+        def counting_haversine(*args):
+            calls.append(args)
+            return haversine_km(*args)
+
+        monkeypatch.setattr(geocode, "haversine_km", counting_haversine)
+        queries = {
+            (52.1674, 4.4843): "NL",
+            (48.8566, 2.3522): "FR",
+            (40.4168, -3.7038): "ES",
+            (52.52, 13.405): "DE",
+            (51.5074, -0.1278): "GB",
+        }
+        for (lat, lon), country in queries.items():
+            calls.clear()
+            assert index.nearest_country(lat, lon) == country
+            assert 0 < len(calls) < 60
 
     def test_parse_reverse_points(self):
         points = parse_reverse_points(

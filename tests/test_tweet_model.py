@@ -179,6 +179,28 @@ class TestValidation:
         with pytest.raises(MalformedInput, match="invalid JSON"):
             parse_tweet("[" * 200_000)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"user_location": "x\ud800"},
+            {"user": {"location": "\udfff"}},
+            {"time_zone": "\ud800"},
+            {"lang": "\ud800"},
+            {"user": {"lang": "\ud800"}},
+            {"id": "\ud800"},
+            {"id_str": "1\ud800"},
+            {"text": "caf\udcff"},
+            {"place": {"country_code": "\ud800"}},
+        ],
+    )
+    def test_lone_surrogate_is_malformed(self, obj):
+        with pytest.raises(MalformedInput, match="lone surrogate|invalid place country code"):
+            parse_tweet(json.dumps(obj))
+
+    def test_non_ascii_text_is_kept(self):
+        tweet = parse_tweet(json.dumps({"id": "é1", "text": "café 😀", "user_location": "Zürich"}))
+        assert (tweet.id, tweet.text, tweet.user_location) == ("é1", "café 😀", "Zürich")
+
     @pytest.mark.parametrize("levels", [2, 5000])
     def test_geojson_object_unwrapped_once(self, levels):
         nested = [4.0, 52.0]
