@@ -7,12 +7,14 @@ Out-of-vocabulary values are skipped for every class alike. With alpha 0 an
 unseen pairing scores -inf; when every class is -inf, ranking falls back to
 priors alone. Exact ties rank the lexicographically smallest country first.
 
-Scoring reads the model's compiled form (``NaiveBayesModel.compiled``): the
-prior row, and per (kind, value) a row of that log term over the classes in
-code order, built the first time the value is scored. A tweet's scores are
-the prior row plus its values' rows, added in enabled-kind order. That is the
-order in which the formula adds its terms for each class, so the scores and
-rankings are bitwise equal to evaluating the formula class by class.
+Scoring reads the model's compiled form (``NaiveBayesModel.compiled``). Per
+kind it holds a base row, the zero-count term of each class, and per value
+the terms of the classes that counted it. A tweet's scores start from the
+prior row plus the base rows of its in-vocabulary kinds, a sum cached per
+kind set; only the classes that counted one of its values are then summed
+again, term by term. Every class adds its terms in enabled-kind order, the
+order of the formula, so the scores and rankings are bitwise equal to
+evaluating the formula class by class.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import json
 import logging
 import math
 import operator
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -69,13 +70,15 @@ class NaiveBayesModel:
 
 
 class CompiledModel:
-    """A model's log-probability rows, each over the classes in code order.
+    """A model's log-probability terms, indexed by class position in code order.
 
-    A value's row holds log((count + alpha) / (kind_total + alpha *
-    vocabulary_size)) per class, -inf where the numerator is 0. Rows are
-    built the first time a value is scored, so loading a model costs nothing
-    extra; an out-of-vocabulary value is remembered as having no row. Each
-    built row also records the value's majority class.
+    The term of a class for a value is log((count + alpha) / (kind_total +
+    alpha * vocabulary_size)). Per kind, the base row holds it for a count of
+    0, -inf where alpha is 0; a value's terms hold it only for the classes
+    that counted the value. Terms are built the first time a vocabulary
+    value is scored, so loading a model costs nothing extra, and kept with
+    the value's majority class. Out-of-vocabulary values are not kept, so
+    the caches never outgrow the vocabulary.
     """
 
     def __init__(self, model: NaiveBayesModel) -> None:
@@ -85,51 +88,99 @@ class CompiledModel:
         self.uniform_prior = [-math.log(len(self.classes))] * len(self.classes)
         # Largest class first; the sort is stable, so ties stay in code order.
         self.prior_order = sorted(self.classes, key=lambda country: -model.class_count[country])
-        self._alpha = model.alpha
-        self._tables: dict[FeatureKind, tuple[set[str], list[dict[str, int]], list[float]]] = {}
-        self._rows: dict[FeatureKind, dict[str, array | None]] = {}
+        self._alpha = alpha = model.alpha
+        self._vocab: dict[FeatureKind, set[str]] = {}
+        self._denominators: dict[FeatureKind, list[float]] = {}
+        self._base: dict[FeatureKind, list[float]] = {}
+        self._postings: dict[FeatureKind, dict[str, list[tuple[int, int]]]] = {}
+        # In enabled-kind order, which is the order scores add their terms in.
+        self._terms: dict[FeatureKind, dict[str, dict[int, float]]] = {}
         self._majority: dict[FeatureKind, dict[str, str | None]] = {}
+        # (kinds, uniform_priors) -> prior row plus those kinds' base rows.
+        self._starts: dict[tuple[tuple[FeatureKind, ...], bool], list[float]] = {}
         for kind in model.enabled_kinds:
             vocab = model.vocabulary.get(kind) or set()
-            counts = [model.value_count.get(country, {}).get(kind, {}) for country in self.classes]
             denominators = [
-                model.kind_total.get(country, {}).get(kind, 0) + model.alpha * len(vocab)
+                model.kind_total.get(country, {}).get(kind, 0) + alpha * len(vocab)
                 for country in self.classes
             ]
-            self._tables[kind] = (vocab, counts, denominators)
-            self._rows[kind] = {}
+            # A denominator is 0 only when the vocabulary is empty; then no row is read.
+            self._base[kind] = [
+                -math.inf if alpha == 0 or denominator == 0 else math.log(alpha / denominator)
+                for denominator in denominators
+            ]
+            postings: dict[str, list[tuple[int, int]]] = {}
+            for index, country in enumerate(self.classes):
+                for value, count in model.value_count.get(country, {}).get(kind, {}).items():
+                    if count:  # model_from_dict accepts explicit zero counts
+                        postings.setdefault(value, []).append((index, count))
+            self._vocab[kind] = vocab
+            self._denominators[kind] = denominators
+            self._postings[kind] = postings
+            self._terms[kind] = {}
             self._majority[kind] = {}
 
-    def row(self, kind: FeatureKind, value: str) -> array | None:
-        """The value's row, or None when the value is out of vocabulary."""
-        rows = self._rows[kind]
-        if value in rows:
-            return rows[value]
-        vocab, counts, denominators = self._tables[kind]
-        if value not in vocab:
-            rows[value] = None
-            return None
-        row = array("d")
-        majority, majority_count = None, 0
-        for country, per_value, denominator in zip(self.classes, counts, denominators):
-            count = per_value.get(value, 0)
-            numerator = count + self._alpha
-            row.append(-math.inf if numerator == 0 else math.log(numerator / denominator))
+    def _build(self, kind: FeatureKind, value: str) -> dict[int, float]:
+        """Build and cache the terms and the majority class of a vocabulary value."""
+        terms, majority, majority_count = {}, None, 0
+        denominators = self._denominators[kind]
+        for index, count in self._postings[kind].get(value, ()):
+            terms[index] = math.log((count + self._alpha) / denominators[index])
             if count > majority_count:
-                majority, majority_count = country, count
-        rows[value] = row
+                majority, majority_count = self.classes[index], count
+        self._terms[kind][value] = terms
         self._majority[kind][value] = majority
-        return row
+        return terms
+
+    def _scores(self, vector: FeatureVector, uniform_priors: bool) -> list[float]:
+        """Every class's score in code order. Do not modify the returned list."""
+        kinds = []
+        parts = []
+        for kind, cache in self._terms.items():
+            value = vector.get(kind)
+            if value is None:
+                continue
+            terms = cache.get(value)
+            if terms is None:
+                if value not in self._vocab[kind]:
+                    continue
+                terms = self._build(kind, value)
+            kinds.append(kind)
+            parts.append((terms, self._base[kind]))
+        prior = self.uniform_prior if uniform_priors else self.prior
+        key = (tuple(kinds), uniform_priors)
+        start = self._starts.get(key)
+        if start is None:
+            start = prior
+            for kind in kinds:
+                start = list(map(operator.add, start, self._base[kind]))
+            self._starts[key] = start
+        touched = set().union(*[terms for terms, _ in parts])
+        if not touched:
+            return start
+        # Only these classes differ from the start: sum each one again from its
+        # prior, taking per kind its term or else its base entry, in kind order.
+        scores = start.copy()
+        for index in touched:
+            score = prior[index]
+            for terms, base in parts:
+                score += terms.get(index, base[index])
+            scores[index] = score
+        return scores
 
     def majority(self, kind: FeatureKind, value: str) -> str | None:
         """The class with the highest count for the value; ties pick the smaller code.
 
         None for an out-of-vocabulary value and for a kind the model does not enable.
         """
-        if kind not in self._rows:
+        majorities = self._majority.get(kind)
+        if majorities is None:
             return None
-        self.row(kind, value)
-        return self._majority[kind].get(value)
+        if value not in majorities:
+            if value not in self._vocab[kind]:
+                return None
+            self._build(kind, value)
+        return majorities[value]
 
 
 def train(
@@ -192,18 +243,10 @@ def log_posterior(
 
     Returns (country, log score) pairs sorted by descending score, ties by
     country code. If every class scored -inf the order falls back to the
-    prior-only ranking (scores stay -inf). The score is the prior row plus
-    the compiled row of each in-vocabulary value, added in enabled-kind order.
+    prior-only ranking (scores stay -inf).
     """
     compiled = model.compiled
-    scores = compiled.uniform_prior if uniform_priors else compiled.prior
-    for kind in model.enabled_kinds:
-        value = vector.get(kind)
-        if value is None:
-            continue
-        row = compiled.row(kind, value)
-        if row is not None:
-            scores = list(map(operator.add, scores, row))
+    scores = compiled._scores(vector, uniform_priors)
     # The classes are in code order and the sort is stable, so equal scores
     # stay in code order: the same ranking as sorting on (-score, country).
     ranked = sorted(zip(compiled.classes, scores), key=operator.itemgetter(1), reverse=True)
@@ -216,8 +259,16 @@ def log_posterior(
 def classify(
     model: NaiveBayesModel, vector: FeatureVector, *, uniform_priors: bool = False
 ) -> str:
-    """The single best country for one feature vector."""
-    return log_posterior(model, vector, uniform_priors=uniform_priors)[0][0]
+    """The single best country for one feature vector: ``log_posterior``'s first entry.
+
+    The first maximum in code order is the class the stable sort ranks first.
+    """
+    compiled = model.compiled
+    scores = compiled._scores(vector, uniform_priors)
+    best = max(scores)
+    if best == -math.inf:
+        return compiled.classes[0] if uniform_priors else compiled.prior_order[0]
+    return compiled.classes[scores.index(best)]
 
 
 def model_to_dict(model: NaiveBayesModel, config: dict | None = None) -> dict[str, Any]:

@@ -274,7 +274,7 @@ def _predict_subsets(
     The only place in this module that trains and classifies: folds,
     ablation rows, report columns and the region row all go through it.
     A kind's counts, vocabulary and denominators do not depend on which
-    other kinds are enabled, and log_posterior adds the rows of the kinds a
+    other kinds are enabled, and scoring adds the terms of the kinds a
     vector holds in enabled-kind order. So a restricted vector gets the same
     scores, bit for bit, as from a model trained on its subset alone.
     """

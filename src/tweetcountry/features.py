@@ -24,6 +24,10 @@ class FeatureKind(Enum):
     UTC_OFFSET = "utc_offset"
     USER_LANGUAGE = "user_language"
 
+    # Members are singletons compared by identity, so the identity hash agrees
+    # with equality; it runs in C, where Enum's own __hash__ is Python code.
+    __hash__ = object.__hash__
+
 
 ALL_KINDS: tuple[FeatureKind, ...] = tuple(FeatureKind)
 

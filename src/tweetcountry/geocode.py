@@ -162,6 +162,8 @@ def _escape_key(key: str) -> str:
 
 
 def _unescape_key(key: str) -> str:
+    if "\\" not in key:
+        return key
     out: list[str] = []
     i = 0
     while i < len(key):
@@ -201,13 +203,19 @@ class GeocodeCache:
         return len(self._entries)
 
     def _load(self) -> None:
+        """Read the file's entries. Lines end at a line feed, and a carriage
+        return before it is dropped; a line that is not UTF-8 text of four
+        fields is skipped with a warning."""
         assert self._path is not None
-        with self._path.open("r", encoding="utf-8") as handle:
+        with self._path.open("rb") as handle:
             for lineno, raw in enumerate(handle, 1):
-                line = raw.rstrip("\n")
+                line = raw.removesuffix(b"\n").removesuffix(b"\r")
                 if not line:
                     continue
-                fields = line.split("\t")
+                try:
+                    fields = line.decode("utf-8").split("\t")
+                except UnicodeDecodeError:
+                    fields = []
                 if len(fields) != 4:
                     log.warning("%s:%d: skipping malformed cache line", self._path, lineno)
                     continue

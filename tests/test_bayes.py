@@ -9,7 +9,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tweetcountry.bayes import (
@@ -207,6 +207,37 @@ count_tables = st.lists(st.tuples(vectors, tied_labels), min_size=1, max_size=25
 kind_subsets = st.sets(st.sampled_from(list(ALL_KINDS)), min_size=1)
 
 
+def assert_scored_like_reference(model, scored):
+    """Every vector in both prior modes, and every value's majority class, as the reference."""
+    # twice over, so the second pass reads the terms and base sums the first one built
+    for _ in range(2):
+        for vector in scored + [{}]:
+            for uniform in (False, True):
+                assert_same_ranking(
+                    log_posterior(model, vector, uniform_priors=uniform),
+                    reference_log_posterior(model, vector, uniform_priors=uniform),
+                )
+    for kind in ALL_KINDS:
+        for value in ["v0", "v1", "v2", "v3", "v4", "v5"]:
+            assert majority_class(model, kind, value) == reference_majority(model, kind, value)
+
+
+# One value across every kind per vector (v4 and v5 are never in a vocabulary), and one mix.
+all_scored = [
+    {kind: value for kind in ALL_KINDS} for value in ["v0", "v1", "v2", "v3", "v4", "v5"]
+] + [{K.LOCATION: "v0", K.TIMEZONE: "v1", K.USER_LANGUAGE: "v4"}]
+
+
+# With alpha 0 every class scores -inf on fallback_vector; CC is the largest class, AA the first code.
+fallback_examples = [
+    ({K.TIMEZONE: "v0", K.USER_LANGUAGE: "v1"}, "BB"),
+    ({K.TIMEZONE: "v1", K.USER_LANGUAGE: "v0"}, "AA"),
+    ({K.TIMEZONE: "v1", K.USER_LANGUAGE: "v0"}, "CC"),
+    ({K.TIMEZONE: "v1", K.USER_LANGUAGE: "v0"}, "CC"),
+]
+fallback_vector = {K.TIMEZONE: "v0", K.USER_LANGUAGE: "v0"}
+
+
 class TestCompiledScoring:
     @given(
         count_tables,
@@ -214,23 +245,67 @@ class TestCompiledScoring:
         kind_subsets,
         st.lists(scored_vectors, min_size=1, max_size=8),
     )
+    # CC counted none of the values, so its score is the cached base sum alone,
+    # which comes out different if the base rows are added in another order.
+    @example(
+        [
+            ({K.LOCATION: "v0", K.TIMEZONE: "v1", K.TWEET_LANGUAGE: "v0"}, "BB"),
+            ({K.LOCATION: "v1"}, "BB"),
+            ({K.TIMEZONE: "v0"}, "CC"),
+        ],
+        1.0,
+        {K.LOCATION, K.TIMEZONE, K.TWEET_LANGUAGE},
+        [{K.LOCATION: "v1", K.TIMEZONE: "v1", K.TWEET_LANGUAGE: "v1"}],
+    )
     @settings(max_examples=300, deadline=None)
     def test_bitwise_equal_to_per_class_loop(self, examples, alpha, kinds, scored):
         model = train(examples, alpha=alpha, enabled_kinds=kinds)
-        # twice over, so the second pass reads rows the first one built
-        for _ in range(2):
-            for vector in scored + [{}]:
-                for uniform in (False, True):
-                    assert_same_ranking(
-                        log_posterior(model, vector, uniform_priors=uniform),
-                        reference_log_posterior(model, vector, uniform_priors=uniform),
-                    )
-        for kind in ALL_KINDS:
-            for value in ["v0", "v1", "v2", "v3", "v4", "v5"]:
-                assert majority_class(model, kind, value) == reference_majority(model, kind, value)
+        assert_scored_like_reference(model, scored)
+        # A reloaded model compiles from dicts in another order, to the same scores.
+        assert_scored_like_reference(model_from_dict(model_to_dict(model)), scored)
         fresh = train(examples, alpha=alpha, enabled_kinds=kinds)
         assert model == fresh
         assert model_to_dict(model) == model_to_dict(fresh)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_explicit_zero_counts_score_like_unseen_values(self, alpha):
+        examples = [
+            ({K.TIMEZONE: "v0", K.USER_LANGUAGE: "v1"}, "AA"),
+            ({K.TIMEZONE: "v1", K.USER_LANGUAGE: "v1"}, "BB"),
+            ({K.TIMEZONE: "v0"}, "CC"),
+        ]
+        document = model_to_dict(train(examples, alpha=alpha))
+        # model_from_dict accepts a zero count, for a counted value and for an unseen one
+        document["value_count"]["BB"]["timezone"].update({"v0": 0, "v5": 0})
+        document["value_count"]["CC"]["user_language"] = {"v1": 0}
+        model = model_from_dict(document)
+        assert model.value_count["BB"][K.TIMEZONE]["v0"] == 0
+        assert_scored_like_reference(model, all_scored)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_enabled_kind_without_vocabulary(self, alpha):
+        examples = [({K.TIMEZONE: "v0"}, "AA"), ({K.TIMEZONE: "v1"}, "BB"), ({K.TIMEZONE: "v0"}, "BB")]
+        model = train(examples, alpha=alpha, enabled_kinds=(K.LOCATION, K.TIMEZONE, K.GEOPARSED))
+        assert model.vocabulary[K.LOCATION] == set() == model.vocabulary[K.GEOPARSED]
+        assert_scored_like_reference(model, all_scored)
+        assert_scored_like_reference(model_from_dict(model_to_dict(model)), all_scored)
+
+    @given(
+        count_tables,
+        st.sampled_from([0.0, 0.5, 1.0]),
+        kind_subsets,
+        st.lists(scored_vectors, min_size=1, max_size=8),
+        st.booleans(),
+    )
+    # alpha 0 and a vector no class can score: the all -inf fallback, in both prior modes
+    @example(fallback_examples, 0.0, {K.TIMEZONE, K.USER_LANGUAGE}, [fallback_vector], False)
+    @example(fallback_examples, 0.0, {K.TIMEZONE, K.USER_LANGUAGE}, [fallback_vector], True)
+    @settings(max_examples=300, deadline=None)
+    def test_classify_is_the_first_ranked_class(self, examples, alpha, kinds, scored, uniform):
+        model = train(examples, alpha=alpha, enabled_kinds=kinds)
+        for vector in scored + [{}]:
+            ranked = log_posterior(model, vector, uniform_priors=uniform)
+            assert classify(model, vector, uniform_priors=uniform) == ranked[0][0]
 
     @pytest.mark.parametrize("uniform", [False, True])
     def test_all_minus_inf_fallback_matches_per_class_loop(self, uniform):
@@ -257,6 +332,20 @@ class TestCompiledScoring:
         assert majority_class(model, K.TIMEZONE, "shared") == "GB"
         assert majority_class(model, K.TIMEZONE, "mars") is None
         assert majority_class(model, K.LOCATION, "shared") is None
+
+    def test_out_of_vocabulary_values_are_not_kept(self, tiny_model):
+        for i in range(50):
+            log_posterior(tiny_model, {K.TIMEZONE: f"unseen {i}", K.LOCATION: f"unseen {i}"})
+            assert majority_class(tiny_model, K.TIMEZONE, f"unseen {i}") is None
+        log_posterior(tiny_model, {K.TIMEZONE: "amsterdam"})
+        assert majority_class(tiny_model, K.TIMEZONE, "london") == "GB"
+        compiled = tiny_model.compiled
+        assert {kind: sorted(cache) for kind, cache in compiled._terms.items() if cache} == {
+            K.TIMEZONE: ["amsterdam", "london"]
+        }
+        assert {kind: cache for kind, cache in compiled._majority.items() if cache} == {
+            K.TIMEZONE: {"amsterdam": "NL", "london": "GB"}
+        }
 
     def test_compiled_form_is_not_part_of_the_model(self, tiny_model, tiny_examples, tmp_path):
         before = model_to_dict(tiny_model)

@@ -511,6 +511,23 @@ class TestCache:
         assert code == EXIT_OK
         assert read_summary(capsys)["entries"] == 1
 
+    def test_undecodable_cache_line_is_skipped(self, tmp_path, capsys):
+        cache_path = tmp_path / "cache.tsv"
+        cache_path.write_bytes(
+            b"amsterdam\tNL\tgazetteer\t2024-01-01\n"
+            b"\xffoops\tDE\tgazetteer\t2024-01-01\n"
+        )
+        source = tmp_path / "raw.ndjson"
+        source.write_text(
+            json.dumps({"id": "1", "coordinates": [4.48431747, 52.1674388]}) + "\n",
+            encoding="utf-8",
+        )
+        args = ["--input", str(source), "--output", str(tmp_path / "out"), "--cache", str(cache_path)]
+        assert main(["label", *args]) == EXIT_OK
+        assert read_summary(capsys)["labeled"] == 1
+        assert main(["cache", "stats", "--cache", str(cache_path)]) == EXIT_OK
+        assert read_summary(capsys)["entries"] == 2
+
     def test_cache_requires_path(self):
         assert main(["cache", "stats"]) == EXIT_INPUT
 

@@ -294,6 +294,30 @@ class TestCache:
         assert len(cache) == 1
         assert cache.get("good").country == "NL"
 
+    def test_undecodable_line_is_skipped(self, tmp_path, caplog):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(
+            b"a\tNL\tsrc\t2024-01-01\n"
+            b"\xffbad\tDE\tsrc\t2024-01-01\n"
+            b"b\t-\tsrc\t2024-01-02\r\n"
+            b"\r\n"
+            b"c\tFR\tsrc\t2024-01-03"
+        )
+        cache = GeocodeCache(path)
+        assert len(cache) == 3
+        assert cache.get("a").country == "NL"
+        assert cache.get("b") == geocode.CacheEntry(None, "src", "2024-01-02")
+        assert cache.get("c").timestamp == "2024-01-03"
+        assert [record.getMessage() for record in caplog.records] == [
+            f"{path}:2: skipping malformed cache line"
+        ]
+
+    @given(st.text())
+    def test_key_escaping_round_trips(self, key):
+        escaped = geocode._escape_key(key)
+        assert not {"\t", "\n", "\r"} & set(escaped)
+        assert geocode._unescape_key(escaped) == key
+
     def test_invalid_outcome_skipped(self, tmp_path):
         path = tmp_path / "cache.tsv"
         path.write_text("k\tNLX\tsrc\t2024-01-01\n", encoding="utf-8")
