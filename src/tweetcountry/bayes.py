@@ -23,6 +23,7 @@ import json
 import logging
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -196,8 +197,8 @@ def train(
     pairs = list(examples)
     if not pairs:
         raise EmptyTrainingSet("no training examples")
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha!r}")
+    if not 0 <= alpha <= sys.float_info.max:
+        raise ValueError(f"alpha must be a finite non-negative number, got {alpha!r}")
     kinds = ordered_kinds(enabled_kinds)
     enabled = set(kinds)
 
@@ -337,6 +338,8 @@ def model_from_dict(document: Any) -> NaiveBayesModel:
         isinstance(alpha, (int, float)) and not isinstance(alpha, bool) and alpha >= 0,
         f"alpha must be a non-negative number, got {alpha!r}",
     )
+    # An integer beyond the float range would overflow float() below.
+    _require_model(alpha <= sys.float_info.max, f"alpha must be finite, got {alpha!r}")
 
     raw_kinds = document.get("enabled_kinds")
     _require_model(isinstance(raw_kinds, list) and raw_kinds, "enabled_kinds must be a non-empty list")
@@ -446,11 +449,12 @@ def load_model(path: str | Path) -> NaiveBayesModel:
     """Read and validate a model file. Any defect raises CorruptModel."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorruptModel(f"cannot read model file: {exc}") from exc
     try:
         document = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and the integer digit limit.
         raise CorruptModel(f"model file is not valid JSON: {exc}") from None
     return model_from_dict(document)
 
@@ -459,7 +463,7 @@ def load_model_config(path: str | Path) -> dict | None:
     """The config echo embedded in a model file, if any."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CorruptModel(f"cannot read model file: {exc}") from None
     if not isinstance(document, dict):
         raise CorruptModel("model document must be a JSON object")

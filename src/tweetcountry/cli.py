@@ -167,6 +167,9 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
         raise ValueError(f"fold_orientation must be standard or inverted, got {resolved['fold_orientation']!r}")
     if resolved["top"] < 1:
         raise ValueError("top must be at least 1")
+    # Checked here as well as in train, so a bad value fails before any input is read.
+    if not 0 <= resolved["alpha"] <= sys.float_info.max:
+        raise ValueError(f"alpha must be a finite non-negative number, got {resolved['alpha']!r}")
     resolved["kinds"] = kinds_label(parse_kinds_label(resolved["kinds"].replace(",", "+")))
     context = SimpleNamespace(**resolved)
     context.echo = dict(resolved)
@@ -206,8 +209,12 @@ def _require_paths(cfg: SimpleNamespace, *names: str) -> None:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
+# json.dumps with options builds an encoder per call; output lines share one.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    return _LINE_ENCODER.encode(obj)
 
 
 def _records(cfg: SimpleNamespace, totals: dict[str, int]) -> Iterator[tuple[int, TweetRecord]]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import re
 from enum import Enum
+from typing import Any, Callable
 
 from .errors import GeoparserFailure, InvalidQuery, RemoteUnavailable
 from .tweet_model import TweetRecord
@@ -65,6 +66,73 @@ def _clean(text: str, case_fold: bool) -> str:
     return cleaned.casefold() if case_fold else cleaned
 
 
+def _location(tweet: TweetRecord, geoparser, case_fold: bool) -> str | None:
+    if tweet.user_location is None:
+        return None
+    return _clean(tweet.user_location, case_fold)
+
+
+def _timezone(tweet: TweetRecord, geoparser, case_fold: bool) -> str | None:
+    if tweet.time_zone is None:
+        return None
+    return tweet.time_zone.casefold() if case_fold else tweet.time_zone
+
+
+def _tweet_language(tweet: TweetRecord, geoparser, case_fold: bool) -> str | None:
+    return tweet.tweet_language
+
+
+def _geoparsed(tweet: TweetRecord, geoparser, case_fold: bool) -> str | None:
+    if tweet.user_location is None or geoparser is None:
+        return None
+    if not tweet.user_location.strip():
+        return None
+    try:
+        return geoparser.forward(tweet.user_location)
+    except (GeoparserFailure, InvalidQuery, RemoteUnavailable) as exc:
+        log.warning("geoparse failed for %r: %s", tweet.user_location, exc)
+        return None
+
+
+def _utc_offset(tweet: TweetRecord, geoparser, case_fold: bool) -> str | None:
+    if tweet.utc_offset_seconds is None:
+        return None
+    return str(tweet.utc_offset_seconds)
+
+
+def _user_language(tweet: TweetRecord, geoparser, case_fold: bool) -> str | None:
+    return tweet.user_language
+
+
+_Extractor = Callable[[TweetRecord, Any, bool], str | None]
+
+
+def _extractor_table(
+    extractors: dict[FeatureKind, _Extractor],
+) -> tuple[tuple[FeatureKind, _Extractor], ...]:
+    """(kind, extractor) pairs in ALL_KINDS order.
+
+    A kind without an extractor raises AssertionError here, at import time,
+    rather than passing silently.
+    """
+    for kind in ALL_KINDS:
+        if kind not in extractors:
+            raise AssertionError(f"unhandled kind {kind!r}")
+    return tuple((kind, extractors[kind]) for kind in ALL_KINDS)
+
+
+_EXTRACTORS = _extractor_table(
+    {
+        FeatureKind.LOCATION: _location,
+        FeatureKind.TIMEZONE: _timezone,
+        FeatureKind.TWEET_LANGUAGE: _tweet_language,
+        FeatureKind.GEOPARSED: _geoparsed,
+        FeatureKind.UTC_OFFSET: _utc_offset,
+        FeatureKind.USER_LANGUAGE: _user_language,
+    }
+)
+
+
 def extract_features(
     tweet: TweetRecord,
     geoparser=None,
@@ -75,50 +143,18 @@ def extract_features(
     """Extract the enabled feature kinds from one tweet.
 
     Absent metadata simply yields no entry. The geoparsed kind forwards the
-    raw user_location through ``geoparser.forward``; lookup misses and
-    failures are logged and the entry is omitted, never fatal. Entries are
+    raw user_location through ``geoparser.forward``; a lookup miss omits the
+    entry silently, and a failure (GeoparserFailure, InvalidQuery,
+    RemoteUnavailable) is logged and omits it, never fatal. Entries are
     inserted in the fixed kind order.
     """
     if not enabled:
         raise ValueError("enabled kinds must be non-empty")
     wanted = set(enabled)
     vector: FeatureVector = {}
-    for kind in FeatureKind:
-        if kind not in wanted:
-            continue
-        value = _value_for(kind, tweet, geoparser, case_fold)
-        if value:
-            vector[kind] = value
+    for kind, extract in _EXTRACTORS:
+        if kind in wanted:
+            value = extract(tweet, geoparser, case_fold)
+            if value:
+                vector[kind] = value
     return vector
-
-
-def _value_for(
-    kind: FeatureKind, tweet: TweetRecord, geoparser, case_fold: bool
-) -> str | None:
-    if kind is FeatureKind.LOCATION:
-        if tweet.user_location is None:
-            return None
-        return _clean(tweet.user_location, case_fold)
-    if kind is FeatureKind.TIMEZONE:
-        if tweet.time_zone is None:
-            return None
-        return tweet.time_zone.casefold() if case_fold else tweet.time_zone
-    if kind is FeatureKind.TWEET_LANGUAGE:
-        return tweet.tweet_language
-    if kind is FeatureKind.GEOPARSED:
-        if tweet.user_location is None or geoparser is None:
-            return None
-        if not tweet.user_location.strip():
-            return None
-        try:
-            return geoparser.forward(tweet.user_location)
-        except (GeoparserFailure, InvalidQuery, RemoteUnavailable) as exc:
-            log.warning("geoparse failed for %r: %s", tweet.user_location, exc)
-            return None
-    if kind is FeatureKind.UTC_OFFSET:
-        if tweet.utc_offset_seconds is None:
-            return None
-        return str(tweet.utc_offset_seconds)
-    if kind is FeatureKind.USER_LANGUAGE:
-        return tweet.user_language
-    raise AssertionError(f"unhandled kind {kind!r}")

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import Any
 
 from .errors import MalformedInput, RemoteUnavailable, ResolverFailure
 
@@ -33,7 +35,7 @@ def is_country_code(value: Any) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     """One tweet's classification-relevant metadata.
 
@@ -53,25 +55,31 @@ class TweetRecord:
     place_country_code: str | None = None
 
     def __post_init__(self) -> None:
-        if (self.longitude is None) != (self.latitude is None):
+        longitude, latitude = self.longitude, self.latitude
+        if (longitude is None) != (latitude is None):
             raise MalformedInput("longitude and latitude must be given together")
-        if self.latitude is not None and not -90.0 <= self.latitude <= 90.0:
-            raise MalformedInput(f"latitude out of range: {self.latitude!r}")
-        if self.longitude is not None and not -180.0 <= self.longitude <= 180.0:
-            raise MalformedInput(f"longitude out of range: {self.longitude!r}")
-        if self.utc_offset_seconds is not None and not (
-            -UTC_OFFSET_LIMIT <= self.utc_offset_seconds <= UTC_OFFSET_LIMIT
+        if latitude is not None and not -90.0 <= latitude <= 90.0:
+            raise MalformedInput(f"latitude out of range: {latitude!r}")
+        if longitude is not None and not -180.0 <= longitude <= 180.0:
+            raise MalformedInput(f"longitude out of range: {longitude!r}")
+        offset = self.utc_offset_seconds
+        if offset is not None and not -UTC_OFFSET_LIMIT <= offset <= UTC_OFFSET_LIMIT:
+            raise MalformedInput(f"utc offset out of range: {offset!r}")
+        tweet_language, user_language = self.tweet_language, self.user_language
+        if tweet_language is not None and tweet_language != tweet_language.lower():
+            raise MalformedInput(f"tweet_language must be lowercase: {tweet_language!r}")
+        if user_language is not None and user_language != user_language.lower():
+            raise MalformedInput(f"user_language must be lowercase: {user_language!r}")
+        code = self.place_country_code
+        if code is not None and not is_country_code(code):
+            raise MalformedInput(f"invalid place country code: {code!r}")
+        for name, value in (
+            ("user_location", self.user_location),
+            ("time_zone", self.time_zone),
+            ("tweet_language", tweet_language),
+            ("user_language", user_language),
         ):
-            raise MalformedInput(f"utc offset out of range: {self.utc_offset_seconds!r}")
-        for name in ("tweet_language", "user_language"):
-            code = getattr(self, name)
-            if code is not None and code != code.lower():
-                raise MalformedInput(f"{name} must be lowercase: {code!r}")
-        if self.place_country_code is not None and not is_country_code(self.place_country_code):
-            raise MalformedInput(f"invalid place country code: {self.place_country_code!r}")
-        for name in ("user_location", "time_zone", "tweet_language", "user_language"):
-            value = getattr(self, name)
-            if value is not None and value == "":
+            if value == "":
                 raise MalformedInput(f"{name} must be absent rather than empty")
 
     @property
@@ -79,9 +87,9 @@ class TweetRecord:
         return self.latitude is not None
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise MalformedInput(message)
+def _is_mapping(value: Any) -> bool:
+    # Decoded JSON objects are exact dicts; the ABC check serves other mappings.
+    return type(value) is dict or isinstance(value, Mapping)
 
 
 def _utf8_text(value: str, key: str) -> str:
@@ -94,31 +102,40 @@ def _utf8_text(value: str, key: str) -> str:
     return value
 
 
+# Error messages below are formatted only on the raising path: every record
+# passes a dozen of these checks.
+
+
 def _opt_str(obj: Mapping[str, Any], key: str) -> str | None:
     value = obj.get(key)
     if value is None:
         return None
-    _require(isinstance(value, str), f"field {key!r} must be a string, got {type(value).__name__}")
-    return _utf8_text(value, key) if value != "" else None
+    if not isinstance(value, str):
+        raise MalformedInput(f"field {key!r} must be a string, got {type(value).__name__}")
+    if value.isascii():
+        return value or None
+    return _utf8_text(value, key)
 
 
 def _opt_int(obj: Mapping[str, Any], key: str) -> int | None:
     value = obj.get(key)
-    if value is None:
-        return None
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"field {key!r} must be an integer, got {value!r}",
-    )
+    if value is None or type(value) is int:
+        return value
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedInput(f"field {key!r} must be an integer, got {value!r}")
     return value
 
 
 def _as_float(value: Any, what: str) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{what} must be a number, got {value!r}",
-    )
-    return float(value)
+    if type(value) is float:
+        return value
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise MalformedInput(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        # JSON allows integers of hundreds of digits; no float holds them.
+        raise MalformedInput(f"{what} out of range: {value!r}") from None
 
 
 def _coordinate_pair(value: Any, what: str) -> tuple[float, float] | None:
@@ -126,12 +143,14 @@ def _coordinate_pair(value: Any, what: str) -> tuple[float, float] | None:
 
     A GeoJSON object is unwrapped once; its "coordinates" must be the list.
     """
-    if isinstance(value, Mapping):
+    if _is_mapping(value):
         value = value.get("coordinates")
     if value is None:
         return None
-    _require(isinstance(value, (list, tuple)), f"{what} must be a two-number array")
-    _require(len(value) == 2, f"{what} must have exactly two entries")
+    if not isinstance(value, (list, tuple)):
+        raise MalformedInput(f"{what} must be a two-number array")
+    if len(value) != 2:
+        raise MalformedInput(f"{what} must have exactly two entries")
     return _as_float(value[0], what), _as_float(value[1], what)
 
 
@@ -154,7 +173,8 @@ def _parse_lon_lat(obj: Mapping[str, Any]) -> tuple[float | None, float | None]:
         lon, lat = obj.get("lon"), obj.get("lat")
         if lon is None and lat is None:
             return None, None
-        _require(lon is not None and lat is not None, "lon and lat must be given together")
+        if lon is None or lat is None:
+            raise MalformedInput("lon and lat must be given together")
         return _as_float(lon, "lon"), _as_float(lat, "lat")
     # GeoJSON order: [longitude, latitude].
     pair = _coordinate_pair(obj.get("coordinates"), "coordinates")
@@ -167,23 +187,30 @@ def _parse_lon_lat(obj: Mapping[str, Any]) -> tuple[float | None, float | None]:
     return None, None
 
 
+_NO_FIELDS: Mapping[str, Any] = MappingProxyType({})
+
+
 def record_from_dict(obj: Mapping[str, Any]) -> TweetRecord:
     """Build a TweetRecord from a decoded JSON object of either layout.
 
     Unknown keys are ignored. Present fields with the wrong type, strings that
     do not encode as UTF-8, out-of-range coordinates or offsets, and invalid
-    country codes raise MalformedInput.
+    country codes raise MalformedInput. The checks run in a fixed order, so a
+    record with several defects always reports the same one.
     """
-    _require(isinstance(obj, Mapping), "tweet must be a JSON object")
+    if not _is_mapping(obj):
+        raise MalformedInput("tweet must be a JSON object")
 
     user = obj.get("user")
     if user is None:
-        user = {}
-    _require(isinstance(user, Mapping), "field 'user' must be an object")
+        user = _NO_FIELDS
+    elif not _is_mapping(user):
+        raise MalformedInput("field 'user' must be an object")
     place = obj.get("place")
     if place is None:
-        place = {}
-    _require(isinstance(place, Mapping), "field 'place' must be an object")
+        place = _NO_FIELDS
+    elif not _is_mapping(place):
+        raise MalformedInput("field 'place' must be an object")
 
     user_location = _opt_str(obj, "user_location")
     if user_location is None:
@@ -209,10 +236,8 @@ def record_from_dict(obj: Mapping[str, Any]) -> TweetRecord:
     if place_code is None:
         place_code = _opt_str(place, "country_code")
     if place_code is not None:
-        _require(
-            len(place_code) == 2 and place_code.isascii() and place_code.isalpha(),
-            f"invalid place country code: {place_code!r}",
-        )
+        if not (len(place_code) == 2 and place_code.isascii() and place_code.isalpha()):
+            raise MalformedInput(f"invalid place country code: {place_code!r}")
         place_code = place_code.upper()
 
     lon, lat = _parse_lon_lat(obj)
@@ -220,8 +245,10 @@ def record_from_dict(obj: Mapping[str, Any]) -> TweetRecord:
     text = obj.get("text")
     if text is None:
         text = ""
-    _require(isinstance(text, str), f"field 'text' must be a string, got {type(text).__name__}")
-    _utf8_text(text, "text")
+    elif not isinstance(text, str):
+        raise MalformedInput(f"field 'text' must be a string, got {type(text).__name__}")
+    elif not text.isascii():
+        _utf8_text(text, "text")
 
     return TweetRecord(
         id=_parse_id(obj),
@@ -240,13 +267,17 @@ def record_from_dict(obj: Mapping[str, Any]) -> TweetRecord:
 def decode_object(raw: str | bytes) -> dict[str, Any]:
     """Decode one JSON document that must be an object, or raise MalformedInput.
 
-    Nesting too deep for the decoder is malformed input too.
+    Nesting too deep for the decoder, and an integer literal longer than
+    ``sys.get_int_max_str_digits()`` allows, are malformed input too.
     """
     try:
         obj = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and the
+        # integer digit limit.
         raise MalformedInput(f"invalid JSON: {exc}") from None
-    _require(isinstance(obj, dict), "tweet must be a JSON object")
+    if type(obj) is not dict:
+        raise MalformedInput("tweet must be a JSON object")
     return obj
 
 

@@ -52,6 +52,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(tiny_examples, alpha=-0.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_alpha_that_is_not_finite(self, tiny_examples, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite non-negative number"):
+            train(tiny_examples, alpha=alpha)
+
     def test_invalid_label(self):
         with pytest.raises(ValueError):
             train([({K.TIMEZONE: "x"}, "Netherlands")])
@@ -437,6 +442,12 @@ class TestModelValidation:
     def test_negative_alpha(self, document):
         document["alpha"] = -1.0
         self._expect_corrupt(document)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 10**400])
+    def test_alpha_that_is_not_finite(self, document, alpha):
+        document["alpha"] = alpha
+        with pytest.raises(CorruptModel, match="alpha must be"):
+            model_from_dict(document)
 
     def test_boolean_alpha(self, document):
         document["alpha"] = True

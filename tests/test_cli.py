@@ -24,6 +24,11 @@ from tweetcountry.evaluation import load_labeled_ndjson
 from tweetcountry.tweet_model import parse_tweet, to_flat_dict
 
 from conftest import make_separable_corpus
+from strategies import BEYOND_FLOAT, DIGIT_LIMIT, LONG_INTEGER
+
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this interpreter has no integer digit limit"
+)
 
 
 def write_labeled_corpus(path, order_seed=0):
@@ -659,6 +664,29 @@ class TestRecordCommands:
         assert run_record_command(command, raw, output, model_file, *args, "--strict") == EXIT_INPUT
         assert f"{raw}:4: field 'user_location' holds a lone surrogate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param(
+                '{"id": ' + LONG_INTEGER + "}",
+                "invalid JSON: Exceeds the limit",
+                marks=needs_digit_limit,
+                id="beyond-digit-limit",
+            ),
+            pytest.param('{"lon": %d, "lat": 0}' % BEYOND_FLOAT, "lon out of range: 1000", id="beyond-float"),
+        ],
+    )
+    def test_unconvertible_integer_is_malformed(self, tmp_path, model_file, capsys, command, line, message):
+        raw = tmp_path / "raw.ndjson"
+        write_place_coded_tweets(raw, [line])
+        output = tmp_path / "out.ndjson"
+        assert run_record_command(command, raw, output, model_file) == EXIT_OK
+        summary = read_summary(capsys)
+        assert (summary["total"], summary["malformed"]) == (4, 1)
+        assert len(output.read_text(encoding="utf-8").splitlines()) == 3
+        assert run_record_command(command, raw, output, model_file, "--strict") == EXIT_INPUT
+        assert f"{raw}:4: {message}" in capsys.readouterr().err
+
     def test_lines_end_only_at_newline(self, tmp_path, model_file, capsys, command):
         raw = tmp_path / "raw.ndjson"
         raw.write_bytes(
@@ -721,8 +749,13 @@ def test_evaluate_deeply_nested_line_is_input_error(tmp_path, labeled_file, caps
     [
         (b'{"id": "caf\xff", "country": "NL"}', "'utf-8' codec can't decode byte 0xff"),
         (b'{"user_location": "\\ud800", "country": "NL"}', "field 'user_location' holds a lone surrogate"),
+        pytest.param(
+            b'{"id": ' + LONG_INTEGER.encode() + b', "country": "NL"}',
+            "invalid JSON: Exceeds the limit",
+            marks=needs_digit_limit,
+        ),
     ],
-    ids=["not-utf8", "lone-surrogate"],
+    ids=["not-utf8", "lone-surrogate", "beyond-digit-limit"],
 )
 def test_labeled_text_errors_name_the_line(tmp_path, labeled_file, capsys, command, line, message):
     with labeled_file.open("ab") as handle:
@@ -763,6 +796,54 @@ def test_classify_deeply_nested_model_is_model_error(tmp_path, capsys):
     output = tmp_path / "out.ndjson"
     assert run_record_command("classify", raw, output, model) == EXIT_MODEL
     assert "model error" in capsys.readouterr().err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize(
+    "contents",
+    [
+        pytest.param('{"schema_version": ' + LONG_INTEGER + "}", marks=needs_digit_limit, id="beyond-digit-limit"),
+        pytest.param(b"\xff{}", id="not-utf8"),
+    ],
+)
+def test_classify_unreadable_model_is_model_error(tmp_path, capsys, contents):
+    model = tmp_path / "model.json"
+    if isinstance(contents, str):
+        model.write_text(contents, encoding="utf-8")
+    else:
+        model.write_bytes(contents)
+    raw = tmp_path / "raw.ndjson"
+    write_place_coded_tweets(raw)
+    output = tmp_path / "out.ndjson"
+    assert run_record_command("classify", raw, output, model) == EXIT_MODEL
+    assert "model error" in capsys.readouterr().err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e999", "-0.5"])
+def test_train_rejects_alpha_that_is_not_finite(tmp_path, labeled_file, capsys, alpha):
+    model = tmp_path / "model.json"
+    cache = tmp_path / "cache.tsv"
+    argv = ["train", "--input", str(labeled_file), "--model", str(model), "--cache", str(cache)]
+    assert main(argv + [f"--alpha={alpha}"]) == EXIT_INPUT
+    assert "alpha must be a finite non-negative number" in capsys.readouterr().err
+    # Rejected before any record is read: no model, and no geocode lookups cached.
+    assert not model.exists()
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("alpha", ["NaN", "Infinity"])
+def test_classify_model_with_alpha_that_is_not_finite_is_model_error(
+    tmp_path, model_file, capsys, alpha
+):
+    document = json.loads(model_file.read_text(encoding="utf-8"))
+    text = json.dumps({**document, "alpha": 1.0}).replace('"alpha": 1.0', f'"alpha": {alpha}')
+    model_file.write_text(text, encoding="utf-8")
+    raw = tmp_path / "raw.ndjson"
+    write_place_coded_tweets(raw)
+    output = tmp_path / "out.ndjson"
+    assert run_record_command("classify", raw, output, model_file) == EXIT_MODEL
+    assert "model error: alpha must be" in capsys.readouterr().err
     assert not output.exists()
 
 

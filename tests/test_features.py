@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tweetcountry.errors import GeoparserFailure, RemoteUnavailable
+from tweetcountry import features
+from tweetcountry.errors import GeoparserFailure, InvalidQuery, RemoteUnavailable
 from tweetcountry.features import (
     ALL_KINDS,
     FeatureKind,
+    _extractor_table,
     extract_features,
     kind_from_name,
     normalize_place,
     ordered_kinds,
 )
 from tweetcountry.tweet_model import TweetRecord
+
+from reference_impl import reference_extract_features
 
 K = FeatureKind
 
@@ -166,3 +172,69 @@ def test_subset_extraction_agrees_with_restriction():
 def test_empty_enabled_rejected():
     with pytest.raises(ValueError):
         extract_features(FULL_TWEET, enabled=())
+
+
+def test_extractor_table_follows_kind_order():
+    assert tuple(kind for kind, _ in features._EXTRACTORS) == ALL_KINDS
+
+
+def test_kind_without_extractor_fails_loudly():
+    extractors = dict(features._EXTRACTORS)
+    del extractors[K.UTC_OFFSET]
+    with pytest.raises(AssertionError, match="unhandled kind <FeatureKind.UTC_OFFSET"):
+        _extractor_table(extractors)
+
+
+class ScriptedGeoparser:
+    """Answers every query with one scripted outcome and records the queries."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+        self.queries = []
+
+    def forward(self, text):
+        self.queries.append(text)
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
+
+
+_place_text = st.one_of(
+    st.sampled_from(["   ", " Den \t Haag ", "ÉCOSSE", "İstanbul", "straße"]),
+    st.text(min_size=1, max_size=10),
+)
+_language = st.text(min_size=1, max_size=5).filter(lambda code: code == code.lower())
+_tweets = st.builds(
+    TweetRecord,
+    user_location=st.none() | _place_text,
+    time_zone=st.none() | _place_text,
+    utc_offset_seconds=st.none() | st.integers(-50400, 50400),
+    tweet_language=st.none() | _language,
+    user_language=st.none() | _language,
+)
+_geoparse_outcomes = st.sampled_from(
+    [
+        None,
+        "NL",
+        "",
+        GeoparserFailure("no answer"),
+        InvalidQuery("bad query"),
+        RemoteUnavailable("down"),
+    ]
+)
+
+
+@given(
+    tweet=_tweets,
+    enabled=st.lists(st.sampled_from(ALL_KINDS), min_size=1, max_size=8),
+    case_fold=st.booleans(),
+    outcome=_geoparse_outcomes,
+    with_geoparser=st.booleans(),
+)
+def test_matches_reference_if_chain(tweet, enabled, case_fold, outcome, with_geoparser):
+    parsers = [ScriptedGeoparser(outcome) if with_geoparser else None for _ in range(2)]
+    actual = extract_features(tweet, parsers[0], enabled, case_fold=case_fold)
+    expected = reference_extract_features(tweet, parsers[1], enabled, case_fold=case_fold)
+    assert list(actual.items()) == list(expected.items())
+    if with_geoparser:
+        assert parsers[0].queries == parsers[1].queries

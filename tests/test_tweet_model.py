@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tweetcountry.errors import MalformedInput, RemoteUnavailable, ResolverFailure
@@ -18,6 +19,9 @@ from tweetcountry.tweet_model import (
     record_from_dict,
     to_flat_dict,
 )
+
+from reference_impl import ConstructionDiverged, reference_construct, reference_record_from_dict
+from strategies import BEYOND_FLOAT, integers, numbers, strings, tweet_objects
 
 
 def test_is_country_code():
@@ -298,3 +302,82 @@ class TestLabelOf:
     def test_coordinates_without_resolver(self):
         with pytest.raises(ResolverFailure):
             label_of(TweetRecord(longitude=4.0, latitude=52.0), None)
+
+
+def _outcome(function, *args, **kwargs):
+    """("record", repr) or ("error", type, message) of one call."""
+    try:
+        record = function(*args, **kwargs)
+    except ConstructionDiverged:
+        raise
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+    return ("record", repr(record))
+
+
+class TestMatchesReference:
+    """The tuned parser against a copy of the untuned one (tests/reference_impl.py)."""
+
+    @settings(max_examples=300)
+    @given(tweet_objects)
+    @example(
+        {
+            "user_location": "flat",
+            "time_zone": "flat",
+            "utc_offset_seconds": 3600,
+            "tweet_language": "en",
+            "lang": "fr",
+            "user_language": "nl",
+            "place_country_code": "NL",
+            "lon": 1.0,
+            "lat": 2.0,
+            "coordinates": [3.0, 4.0],
+            "geo": [5.0, 6.0],
+            "user": {"location": "nested", "time_zone": "nested", "utc_offset": 7200, "lang": "de"},
+            "place": {"country_code": "GB"},
+        }
+    )
+    @example({"coordinates": {"type": "Point", "coordinates": [3, 4]}, "geo": [5, 6]})
+    @example({"lon": BEYOND_FLOAT, "lat": 0, "text": 5})
+    @example({"coordinates": {"coordinates": [BEYOND_FLOAT, 0]}})
+    @example({"lon": 1.0, "user": [], "text": None, "place_country_code": "N1"})
+    @example({"lang": "EN", "user": {"lang": ""}, "utc_offset_seconds": True})
+    @example(MappingProxyType({"user": MappingProxyType({"location": "x"}), "geo": (52.0, 4.0)}))
+    def test_record_from_dict(self, obj):
+        expected = _outcome(reference_record_from_dict, obj)
+        actual = _outcome(record_from_dict, obj)
+        if expected[:2] == ("error", OverflowError):
+            # The reference let float() overflow escape; now it is malformed input.
+            assert actual[:2] == ("error", MalformedInput)
+            assert "out of range" in actual[2]
+        else:
+            assert actual == expected
+
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "id": st.none() | strings,
+                "user_location": st.none() | strings | integers,
+                "time_zone": st.none() | strings,
+                "utc_offset_seconds": st.none() | integers,
+                "tweet_language": st.none() | strings,
+                "user_language": st.none() | strings | integers,
+                "longitude": st.none() | numbers | strings,
+                "latitude": st.none() | numbers,
+                "place_country_code": st.none() | strings,
+            },
+        )
+    )
+    @settings(max_examples=300)
+    @example({"user_language": ""})
+    @example({"tweet_language": ""})
+    @example({"time_zone": ""})
+    @example({"user_location": ""})
+    @example({"user_language": "EN", "tweet_language": ""})
+    @example({"latitude": 90.5, "longitude": 0})
+    @example({"latitude": 0, "longitude": -180.5})
+    @example({"utc_offset_seconds": 50401})
+    @example({"place_country_code": "nl"})
+    def test_direct_construction(self, fields):
+        assert _outcome(TweetRecord, **fields) == _outcome(reference_construct, **fields)
