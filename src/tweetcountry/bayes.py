@@ -14,7 +14,9 @@ prior row plus the base rows of its in-vocabulary kinds, a sum cached per
 kind set; only the classes that counted one of its values are then summed
 again, term by term. Every class adds its terms in enabled-kind order, the
 order of the formula, so the scores and rankings are bitwise equal to
-evaluating the formula class by class.
+evaluating the formula class by class. Asked for only the first N classes,
+``log_posterior`` ranks just the classes a tweet's values touched and the
+first N others of the start sum's ranking, which is cached next to it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import logging
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import filterfalse, islice
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -49,6 +52,10 @@ class NaiveBayesModel:
     value_count: dict[str, dict[FeatureKind, dict[str, int]]]
     kind_total: dict[str, dict[FeatureKind, int]]
     vocabulary: dict[FeatureKind, set[str]]
+    # The config echo of the file the model was loaded from, if it has one;
+    # saving writes it back unless given another. Not part of the counts: it
+    # takes no part in ``==`` or ``repr``.
+    config: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def classes(self) -> list[str]:
@@ -68,6 +75,10 @@ class NaiveBayesModel:
         Not a field: it takes no part in ``==``, ``repr`` or the saved model.
         """
         return CompiledModel(self)
+
+
+# The enabled kinds a vector has in-vocabulary values of, and the prior mode.
+_StartKey = tuple[tuple[FeatureKind, ...], bool]
 
 
 class CompiledModel:
@@ -98,7 +109,9 @@ class CompiledModel:
         self._terms: dict[FeatureKind, dict[str, dict[int, float]]] = {}
         self._majority: dict[FeatureKind, dict[str, str | None]] = {}
         # (kinds, uniform_priors) -> prior row plus those kinds' base rows.
-        self._starts: dict[tuple[tuple[FeatureKind, ...], bool], list[float]] = {}
+        self._starts: dict[_StartKey, list[float]] = {}
+        # The same keys -> class indices by descending start score, ties in code order.
+        self._start_rankings: dict[_StartKey, list[int]] = {}
         for kind in model.enabled_kinds:
             vocab = model.vocabulary.get(kind) or set()
             denominators = [
@@ -133,8 +146,13 @@ class CompiledModel:
         self._majority[kind][value] = majority
         return terms
 
-    def _scores(self, vector: FeatureVector, uniform_priors: bool) -> list[float]:
-        """Every class's score in code order. Do not modify the returned list."""
+    def _scores(
+        self, vector: FeatureVector, uniform_priors: bool
+    ) -> tuple[list[float], _StartKey, set[int]]:
+        """Every class's score in code order, the key of the start row the
+        scores began from, and the indices of the classes whose score left it.
+        Do not modify the returned list.
+        """
         kinds = []
         parts = []
         for kind, cache in self._terms.items():
@@ -158,7 +176,7 @@ class CompiledModel:
             self._starts[key] = start
         touched = set().union(*[terms for terms, _ in parts])
         if not touched:
-            return start
+            return start, key, touched
         # Only these classes differ from the start: sum each one again from its
         # prior, taking per kind its term or else its base entry, in kind order.
         scores = start.copy()
@@ -167,7 +185,30 @@ class CompiledModel:
             for terms, base in parts:
                 score += terms.get(index, base[index])
             scores[index] = score
-        return scores
+        return scores, key, touched
+
+    def _first(
+        self, vector: FeatureVector, uniform_priors: bool, count: int
+    ) -> tuple[list[float], list[int]]:
+        """Every class's score, and the indices of the first ``count`` classes
+        by descending score, ties in code order.
+
+        Only the classes that the vector's values touched left their start
+        score, so the first ``count`` are among those and the first ``count``
+        untouched classes of the start's own ranking, which is cached.
+        """
+        scores, key, touched = self._scores(vector, uniform_priors)
+        ranking = self._start_rankings.get(key)
+        if ranking is None:
+            start = self._starts[key]
+            ranking = sorted(range(len(start)), key=start.__getitem__, reverse=True)
+            self._start_rankings[key] = ranking
+        candidates = list(touched)
+        candidates.extend(islice(filterfalse(touched.__contains__, ranking), count))
+        # Code order first; the stable sort by score then keeps ties in it.
+        candidates.sort()
+        candidates.sort(key=scores.__getitem__, reverse=True)
+        return scores, candidates[:count]
 
     def majority(self, kind: FeatureKind, value: str) -> str | None:
         """The class with the highest count for the value; ties pick the smaller code.
@@ -238,22 +279,29 @@ def train(
 
 
 def log_posterior(
-    model: NaiveBayesModel, vector: FeatureVector, *, uniform_priors: bool = False
+    model: NaiveBayesModel,
+    vector: FeatureVector,
+    *,
+    uniform_priors: bool = False,
+    top: int | None = None,
 ) -> list[tuple[str, float]]:
     """Score every class, best first.
 
     Returns (country, log score) pairs sorted by descending score, ties by
     country code. If every class scored -inf the order falls back to the
-    prior-only ranking (scores stay -inf).
+    prior-only ranking (scores stay -inf). With ``top``, only the first
+    ``top`` pairs of that list are ranked and returned.
     """
+    if top is not None and top < 1:
+        raise ValueError(f"top must be at least 1, got {top!r}")
     compiled = model.compiled
-    scores = compiled._scores(vector, uniform_priors)
-    # The classes are in code order and the sort is stable, so equal scores
-    # stay in code order: the same ranking as sorting on (-score, country).
-    ranked = sorted(zip(compiled.classes, scores), key=operator.itemgetter(1), reverse=True)
+    classes = compiled.classes
+    scores, first = compiled._first(vector, uniform_priors, len(classes) if top is None else top)
+    ranked = [(classes[index], scores[index]) for index in first]
+    # The first entry holds the highest score, so it is -inf only if every score is.
     if ranked and ranked[0][1] == -math.inf:
-        fallback = compiled.classes if uniform_priors else compiled.prior_order
-        return [(country, -math.inf) for country in fallback]
+        fallback = classes if uniform_priors else compiled.prior_order
+        return [(country, -math.inf) for country in fallback[:top]]
     return ranked
 
 
@@ -265,7 +313,7 @@ def classify(
     The first maximum in code order is the class the stable sort ranks first.
     """
     compiled = model.compiled
-    scores = compiled._scores(vector, uniform_priors)
+    scores = compiled._scores(vector, uniform_priors)[0]
     best = max(scores)
     if best == -math.inf:
         return compiled.classes[0] if uniform_priors else compiled.prior_order[0]
@@ -273,7 +321,12 @@ def classify(
 
 
 def model_to_dict(model: NaiveBayesModel, config: dict | None = None) -> dict[str, Any]:
-    """The JSON document for a model; fully deterministic for equal models."""
+    """The JSON document for a model; fully deterministic for equal models.
+
+    The config echo is ``config``, or else the model's own ``config``.
+    """
+    if config is None:
+        config = model.config
     document: dict[str, Any] = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "alpha": model.alpha,
@@ -308,17 +361,26 @@ def save_model(model: NaiveBayesModel, path: str | Path, config: dict | None = N
     write_json_atomic(path, model_to_dict(model, config))
 
 
-def _require_model(condition: bool, message: str) -> None:
-    if not condition:
-        raise CorruptModel(message)
+def _is_count(value: Any, minimum: int = 0) -> bool:
+    """An integer, not a bool, of at least minimum."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
-def _checked_count(value: Any, what: str, minimum: int = 0) -> int:
-    _require_model(
-        isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-        f"{what} must be an integer >= {minimum}, got {value!r}",
-    )
-    return value
+def _bad_count(what: str, value: Any, minimum: int = 0) -> CorruptModel:
+    return CorruptModel(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def _kind(name: Any) -> FeatureKind:
+    try:
+        return kind_from_name(name)
+    except ValueError as exc:
+        raise CorruptModel(str(exc)) from None
+
+
+def _config_of(document: dict) -> dict | None:
+    """A model document's config echo: its ``config`` object, if it has one."""
+    config = document.get("config")
+    return config if isinstance(config, dict) else None
 
 
 def model_from_dict(document: Any) -> NaiveBayesModel:
@@ -326,50 +388,61 @@ def model_from_dict(document: Any) -> NaiveBayesModel:
 
     Every structural invariant is checked: totals match the value counts,
     vocabularies are exactly the values seen, counts stay within class sizes.
-    Violations raise CorruptModel.
+    Violations raise CorruptModel. The document's ``config`` object, if it
+    has one, becomes the model's ``config``.
     """
-    _require_model(isinstance(document, dict), "model document must be a JSON object")
-    _require_model(
-        document.get("schema_version") == MODEL_SCHEMA_VERSION,
-        f"unsupported schema_version {document.get('schema_version')!r}",
-    )
+    # Each message is formatted only when its check fails: a model holds
+    # thousands of counts, and every one is checked.
+    if not isinstance(document, dict):
+        raise CorruptModel("model document must be a JSON object")
+    if document.get("schema_version") != MODEL_SCHEMA_VERSION:
+        raise CorruptModel(f"unsupported schema_version {document.get('schema_version')!r}")
     alpha = document.get("alpha")
-    _require_model(
-        isinstance(alpha, (int, float)) and not isinstance(alpha, bool) and alpha >= 0,
-        f"alpha must be a non-negative number, got {alpha!r}",
-    )
+    if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool) and alpha >= 0):
+        raise CorruptModel(f"alpha must be a non-negative number, got {alpha!r}")
     # An integer beyond the float range would overflow float() below.
-    _require_model(alpha <= sys.float_info.max, f"alpha must be finite, got {alpha!r}")
+    if not alpha <= sys.float_info.max:
+        raise CorruptModel(f"alpha must be finite, got {alpha!r}")
 
     raw_kinds = document.get("enabled_kinds")
-    _require_model(isinstance(raw_kinds, list) and raw_kinds, "enabled_kinds must be a non-empty list")
+    if not (isinstance(raw_kinds, list) and raw_kinds):
+        raise CorruptModel("enabled_kinds must be a non-empty list")
     try:
         kinds = tuple(kind_from_name(name) for name in raw_kinds)
     except (ValueError, TypeError) as exc:
         raise CorruptModel(f"bad enabled_kinds: {exc}") from None
-    _require_model(len(set(kinds)) == len(kinds), "enabled_kinds has duplicates")
-    _require_model(kinds == ordered_kinds(kinds), "enabled_kinds out of canonical order")
+    if len(set(kinds)) != len(kinds):
+        raise CorruptModel("enabled_kinds has duplicates")
+    if kinds != ordered_kinds(kinds):
+        raise CorruptModel("enabled_kinds out of canonical order")
     enabled = set(kinds)
 
     raw_classes = document.get("class_count")
-    _require_model(isinstance(raw_classes, dict) and raw_classes, "class_count must be a non-empty object")
+    if not (isinstance(raw_classes, dict) and raw_classes):
+        raise CorruptModel("class_count must be a non-empty object")
     class_count: dict[str, int] = {}
     for country, count in raw_classes.items():
-        _require_model(is_country_code(country), f"invalid class label {country!r}")
-        class_count[country] = _checked_count(count, f"class_count[{country}]", minimum=1)
-    _require_model(
-        document.get("total_examples") == sum(class_count.values()),
-        "total_examples does not match class_count",
-    )
+        if not is_country_code(country):
+            raise CorruptModel(f"invalid class label {country!r}")
+        if not _is_count(count, minimum=1):
+            raise _bad_count(f"class_count[{country}]", count, minimum=1)
+        class_count[country] = count
+    if document.get("total_examples") != sum(class_count.values()):
+        raise CorruptModel("total_examples does not match class_count")
 
     raw_values = document.get("value_count")
     raw_totals = document.get("kind_total")
     raw_vocab = document.get("vocabulary")
-    _require_model(isinstance(raw_values, dict), "value_count must be an object")
-    _require_model(isinstance(raw_totals, dict), "kind_total must be an object")
-    _require_model(isinstance(raw_vocab, dict), "vocabulary must be an object")
-    _require_model(set(raw_values) <= set(class_count), "value_count has unknown classes")
-    _require_model(set(raw_totals) <= set(class_count), "kind_total has unknown classes")
+    if not isinstance(raw_values, dict):
+        raise CorruptModel("value_count must be an object")
+    if not isinstance(raw_totals, dict):
+        raise CorruptModel("kind_total must be an object")
+    if not isinstance(raw_vocab, dict):
+        raise CorruptModel("vocabulary must be an object")
+    if not set(raw_values) <= set(class_count):
+        raise CorruptModel("value_count has unknown classes")
+    if not set(raw_totals) <= set(class_count):
+        raise CorruptModel("kind_total has unknown classes")
 
     value_count: dict[str, dict[FeatureKind, dict[str, int]]] = {}
     kind_total: dict[str, dict[FeatureKind, int]] = {}
@@ -377,63 +450,61 @@ def model_from_dict(document: Any) -> NaiveBayesModel:
     for country in class_count:
         per_kind_raw = raw_values.get(country, {})
         totals_raw = raw_totals.get(country, {})
-        _require_model(isinstance(per_kind_raw, dict), f"value_count[{country}] must be an object")
-        _require_model(isinstance(totals_raw, dict), f"kind_total[{country}] must be an object")
+        if not isinstance(per_kind_raw, dict):
+            raise CorruptModel(f"value_count[{country}] must be an object")
+        if not isinstance(totals_raw, dict):
+            raise CorruptModel(f"kind_total[{country}] must be an object")
         per_kind: dict[FeatureKind, dict[str, int]] = {}
         totals: dict[FeatureKind, int] = {}
         for name, values in per_kind_raw.items():
-            try:
-                kind = kind_from_name(name)
-            except ValueError as exc:
-                raise CorruptModel(str(exc)) from None
-            _require_model(kind in enabled, f"value_count uses disabled kind {name!r}")
-            _require_model(isinstance(values, dict), f"value_count[{country}][{name}] must be an object")
+            kind = _kind(name)
+            if kind not in enabled:
+                raise CorruptModel(f"value_count uses disabled kind {name!r}")
+            if not isinstance(values, dict):
+                raise CorruptModel(f"value_count[{country}][{name}] must be an object")
             counts: dict[str, int] = {}
+            seen = seen_values[kind]
             for value, count in values.items():
-                _require_model(isinstance(value, str) and value, f"empty feature value under {name!r}")
-                counts[value] = _checked_count(count, f"value_count[{country}][{name}][{value}]")
-                if counts[value] > 0:
-                    seen_values[kind].add(value)
+                if not (isinstance(value, str) and value):
+                    raise CorruptModel(f"empty feature value under {name!r}")
+                if not _is_count(count):
+                    raise _bad_count(f"value_count[{country}][{name}][{value}]", count)
+                counts[value] = count
+                if count > 0:
+                    seen.add(value)
             per_kind[kind] = counts
         for name, count in totals_raw.items():
-            try:
-                kind = kind_from_name(name)
-            except ValueError as exc:
-                raise CorruptModel(str(exc)) from None
-            _require_model(kind in enabled, f"kind_total uses disabled kind {name!r}")
-            totals[kind] = _checked_count(count, f"kind_total[{country}][{name}]")
+            kind = _kind(name)
+            if kind not in enabled:
+                raise CorruptModel(f"kind_total uses disabled kind {name!r}")
+            if not _is_count(count):
+                raise _bad_count(f"kind_total[{country}][{name}]", count)
+            totals[kind] = count
         for kind in enabled:
             declared = totals.get(kind, 0)
             summed = sum(per_kind.get(kind, {}).values())
-            _require_model(
-                declared == summed,
-                f"kind_total[{country}][{kind.value}] is {declared} but values sum to {summed}",
-            )
-            _require_model(
-                declared <= class_count[country],
-                f"kind_total[{country}][{kind.value}] exceeds the class size",
-            )
+            if declared != summed:
+                raise CorruptModel(
+                    f"kind_total[{country}][{kind.value}] is {declared} but values sum to {summed}"
+                )
+            if declared > class_count[country]:
+                raise CorruptModel(f"kind_total[{country}][{kind.value}] exceeds the class size")
         value_count[country] = per_kind
         kind_total[country] = totals
 
     vocabulary: dict[FeatureKind, set[str]] = {kind: set() for kind in kinds}
     for name, values in raw_vocab.items():
-        try:
-            kind = kind_from_name(name)
-        except ValueError as exc:
-            raise CorruptModel(str(exc)) from None
-        _require_model(kind in enabled, f"vocabulary uses disabled kind {name!r}")
-        _require_model(
-            isinstance(values, list) and all(isinstance(v, str) and v for v in values),
-            f"vocabulary[{name}] must be a list of non-empty strings",
-        )
+        kind = _kind(name)
+        if kind not in enabled:
+            raise CorruptModel(f"vocabulary uses disabled kind {name!r}")
+        if not (isinstance(values, list) and all(isinstance(v, str) and v for v in values)):
+            raise CorruptModel(f"vocabulary[{name}] must be a list of non-empty strings")
         vocabulary[kind] = set(values)
-        _require_model(len(vocabulary[kind]) == len(values), f"vocabulary[{name}] has duplicates")
+        if len(vocabulary[kind]) != len(values):
+            raise CorruptModel(f"vocabulary[{name}] has duplicates")
     for kind in kinds:
-        _require_model(
-            vocabulary[kind] == seen_values[kind],
-            f"vocabulary[{kind.value}] does not match the counted values",
-        )
+        if vocabulary[kind] != seen_values[kind]:
+            raise CorruptModel(f"vocabulary[{kind.value}] does not match the counted values")
 
     return NaiveBayesModel(
         alpha=float(alpha),
@@ -442,6 +513,7 @@ def model_from_dict(document: Any) -> NaiveBayesModel:
         value_count=value_count,
         kind_total=kind_total,
         vocabulary=vocabulary,
+        config=_config_of(document),
     )
 
 
@@ -467,5 +539,4 @@ def load_model_config(path: str | Path) -> dict | None:
         raise CorruptModel(f"cannot read model file: {exc}") from None
     if not isinstance(document, dict):
         raise CorruptModel("model document must be a JSON object")
-    config = document.get("config")
-    return config if isinstance(config, dict) else None
+    return _config_of(document)

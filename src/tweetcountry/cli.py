@@ -23,7 +23,6 @@ from typing import Any, Callable, Iterator
 from .atomic import open_atomic
 from .bayes import (
     load_model,
-    load_model_config,
     log_posterior,
     save_model,
     train,
@@ -306,7 +305,7 @@ def cmd_classify(cfg: SimpleNamespace) -> int:
     """Predict a country per input tweet; one output line per parsed tweet."""
     _require_paths(cfg, "input", "output", "model")
     model = load_model(cfg.model)
-    trained_config = load_model_config(cfg.model) or {}
+    trained_config = model.config or {}
     case_fold = cfg.case_fold
     # Unless the flag was given explicitly, mirror how the model was trained.
     if getattr(cfg, "case_fold_given", None) is None and isinstance(
@@ -318,7 +317,7 @@ def cmd_classify(cfg: SimpleNamespace) -> int:
     with open_atomic(cfg.output) as sink:
         for _, record in _records(cfg, totals):
             vector = extract_features(record, geocoder, model.enabled_kinds, case_fold=case_fold)
-            ranked = log_posterior(model, vector, uniform_priors=cfg.uniform_priors)
+            ranked = log_posterior(model, vector, uniform_priors=cfg.uniform_priors, top=cfg.top)
             predicted = ranked[0][0]
             obj = {
                 "id": record.id,
@@ -328,7 +327,7 @@ def cmd_classify(cfg: SimpleNamespace) -> int:
                         "country": country,
                         "log_score": score if score != float("-inf") else None,
                     }
-                    for country, score in ranked[: cfg.top]
+                    for country, score in ranked
                 ],
                 "diagnostics": sorted(diagnostic_tags(model, vector, predicted)),
                 "config_sha256": cfg.digest,

@@ -24,6 +24,19 @@ OTHER_LABEL = "ZZ"
 UTC_OFFSET_LIMIT = 50400  # widest real-world offset is +-14 hours
 
 
+def _shown(value: Any) -> str:
+    """repr(value) for an error message; an int too long for repr is described.
+
+    repr of an int with more digits than ``sys.get_int_max_str_digits()``
+    allows raises ValueError. JSON input cannot carry one (the decoder rejects
+    it first), but a library caller can pass one.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<integer of {value.bit_length()} bits>"
+
+
 def is_country_code(value: Any) -> bool:
     """True when value is exactly two uppercase ASCII letters."""
     return (
@@ -59,12 +72,12 @@ class TweetRecord:
         if (longitude is None) != (latitude is None):
             raise MalformedInput("longitude and latitude must be given together")
         if latitude is not None and not -90.0 <= latitude <= 90.0:
-            raise MalformedInput(f"latitude out of range: {latitude!r}")
+            raise MalformedInput(f"latitude out of range: {_shown(latitude)}")
         if longitude is not None and not -180.0 <= longitude <= 180.0:
-            raise MalformedInput(f"longitude out of range: {longitude!r}")
+            raise MalformedInput(f"longitude out of range: {_shown(longitude)}")
         offset = self.utc_offset_seconds
         if offset is not None and not -UTC_OFFSET_LIMIT <= offset <= UTC_OFFSET_LIMIT:
-            raise MalformedInput(f"utc offset out of range: {offset!r}")
+            raise MalformedInput(f"utc offset out of range: {_shown(offset)}")
         tweet_language, user_language = self.tweet_language, self.user_language
         if tweet_language is not None and tweet_language != tweet_language.lower():
             raise MalformedInput(f"tweet_language must be lowercase: {tweet_language!r}")
@@ -135,7 +148,7 @@ def _as_float(value: Any, what: str) -> float:
         return float(value)
     except OverflowError:
         # JSON allows integers of hundreds of digits; no float holds them.
-        raise MalformedInput(f"{what} out of range: {value!r}") from None
+        raise MalformedInput(f"{what} out of range: {_shown(value)}") from None
 
 
 def _coordinate_pair(value: Any, what: str) -> tuple[float, float] | None:
@@ -162,7 +175,11 @@ def _parse_id(obj: Mapping[str, Any]) -> str:
         if isinstance(value, str):
             return _utf8_text(value, key)
         if isinstance(value, int) and not isinstance(value, bool):
-            return str(value)
+            try:
+                return str(value)
+            except ValueError:
+                # More digits than sys.get_int_max_str_digits() allows.
+                raise MalformedInput(f"field {key!r} is an integer too long to convert") from None
         raise MalformedInput(f"field {key!r} must be a string or integer, got {value!r}")
     return ""
 

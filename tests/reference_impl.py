@@ -1,20 +1,29 @@
-"""Reference copies of the per-record path as it was before it was tuned.
+"""Reference copies of the input paths as they were before they were tuned.
 
-``record_from_dict`` (with ``TweetRecord``'s construction checks) and
-``extract_features`` (with its per-kind if-chain) are kept here verbatim in
+``record_from_dict`` (with ``TweetRecord``'s construction checks),
+``extract_features`` (with its per-kind if-chain) and ``model_from_dict``
+(with every message formatted before its check) are kept here verbatim in
 behaviour, so property tests can check that the tuned code returns the same
-records and vectors and raises the same errors with the same messages, in
-the same order. They are test oracles only; nothing in the package imports
-them.
+records, vectors and models and raises the same errors with the same
+messages, in the same order. They are test oracles only; nothing in the
+package imports them.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import Any, Mapping
 
-from tweetcountry.errors import GeoparserFailure, InvalidQuery, MalformedInput, RemoteUnavailable
-from tweetcountry.features import FeatureKind
+from tweetcountry.bayes import MODEL_SCHEMA_VERSION, NaiveBayesModel
+from tweetcountry.errors import (
+    CorruptModel,
+    GeoparserFailure,
+    InvalidQuery,
+    MalformedInput,
+    RemoteUnavailable,
+)
+from tweetcountry.features import FeatureKind, kind_from_name, ordered_kinds
 from tweetcountry.tweet_model import UTC_OFFSET_LIMIT, TweetRecord, is_country_code
 
 _WHITESPACE_RUN = re.compile(r"\s+")
@@ -261,3 +270,135 @@ def _value_for(kind, tweet, geoparser, case_fold):
     if kind is FeatureKind.USER_LANGUAGE:
         return tweet.user_language
     raise AssertionError(f"unhandled kind {kind!r}")
+
+
+def _require_model(condition: bool, message: str) -> None:
+    if not condition:
+        raise CorruptModel(message)
+
+
+def _checked_count(value: Any, what: str, minimum: int = 0) -> int:
+    _require_model(
+        isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+        f"{what} must be an integer >= {minimum}, got {value!r}",
+    )
+    return value
+
+
+def reference_model_from_dict(document: Any) -> NaiveBayesModel:
+    """model_from_dict as it was when it formatted every message up front."""
+    _require_model(isinstance(document, dict), "model document must be a JSON object")
+    _require_model(
+        document.get("schema_version") == MODEL_SCHEMA_VERSION,
+        f"unsupported schema_version {document.get('schema_version')!r}",
+    )
+    alpha = document.get("alpha")
+    _require_model(
+        isinstance(alpha, (int, float)) and not isinstance(alpha, bool) and alpha >= 0,
+        f"alpha must be a non-negative number, got {alpha!r}",
+    )
+    # An integer beyond the float range would overflow float() below.
+    _require_model(alpha <= sys.float_info.max, f"alpha must be finite, got {alpha!r}")
+
+    raw_kinds = document.get("enabled_kinds")
+    _require_model(isinstance(raw_kinds, list) and raw_kinds, "enabled_kinds must be a non-empty list")
+    try:
+        kinds = tuple(kind_from_name(name) for name in raw_kinds)
+    except (ValueError, TypeError) as exc:
+        raise CorruptModel(f"bad enabled_kinds: {exc}") from None
+    _require_model(len(set(kinds)) == len(kinds), "enabled_kinds has duplicates")
+    _require_model(kinds == ordered_kinds(kinds), "enabled_kinds out of canonical order")
+    enabled = set(kinds)
+
+    raw_classes = document.get("class_count")
+    _require_model(isinstance(raw_classes, dict) and raw_classes, "class_count must be a non-empty object")
+    class_count: dict[str, int] = {}
+    for country, count in raw_classes.items():
+        _require_model(is_country_code(country), f"invalid class label {country!r}")
+        class_count[country] = _checked_count(count, f"class_count[{country}]", minimum=1)
+    _require_model(
+        document.get("total_examples") == sum(class_count.values()),
+        "total_examples does not match class_count",
+    )
+
+    raw_values = document.get("value_count")
+    raw_totals = document.get("kind_total")
+    raw_vocab = document.get("vocabulary")
+    _require_model(isinstance(raw_values, dict), "value_count must be an object")
+    _require_model(isinstance(raw_totals, dict), "kind_total must be an object")
+    _require_model(isinstance(raw_vocab, dict), "vocabulary must be an object")
+    _require_model(set(raw_values) <= set(class_count), "value_count has unknown classes")
+    _require_model(set(raw_totals) <= set(class_count), "kind_total has unknown classes")
+
+    value_count: dict[str, dict[FeatureKind, dict[str, int]]] = {}
+    kind_total: dict[str, dict[FeatureKind, int]] = {}
+    seen_values: dict[FeatureKind, set[str]] = {kind: set() for kind in kinds}
+    for country in class_count:
+        per_kind_raw = raw_values.get(country, {})
+        totals_raw = raw_totals.get(country, {})
+        _require_model(isinstance(per_kind_raw, dict), f"value_count[{country}] must be an object")
+        _require_model(isinstance(totals_raw, dict), f"kind_total[{country}] must be an object")
+        per_kind: dict[FeatureKind, dict[str, int]] = {}
+        totals: dict[FeatureKind, int] = {}
+        for name, values in per_kind_raw.items():
+            try:
+                kind = kind_from_name(name)
+            except ValueError as exc:
+                raise CorruptModel(str(exc)) from None
+            _require_model(kind in enabled, f"value_count uses disabled kind {name!r}")
+            _require_model(isinstance(values, dict), f"value_count[{country}][{name}] must be an object")
+            counts: dict[str, int] = {}
+            for value, count in values.items():
+                _require_model(isinstance(value, str) and value, f"empty feature value under {name!r}")
+                counts[value] = _checked_count(count, f"value_count[{country}][{name}][{value}]")
+                if counts[value] > 0:
+                    seen_values[kind].add(value)
+            per_kind[kind] = counts
+        for name, count in totals_raw.items():
+            try:
+                kind = kind_from_name(name)
+            except ValueError as exc:
+                raise CorruptModel(str(exc)) from None
+            _require_model(kind in enabled, f"kind_total uses disabled kind {name!r}")
+            totals[kind] = _checked_count(count, f"kind_total[{country}][{name}]")
+        for kind in enabled:
+            declared = totals.get(kind, 0)
+            summed = sum(per_kind.get(kind, {}).values())
+            _require_model(
+                declared == summed,
+                f"kind_total[{country}][{kind.value}] is {declared} but values sum to {summed}",
+            )
+            _require_model(
+                declared <= class_count[country],
+                f"kind_total[{country}][{kind.value}] exceeds the class size",
+            )
+        value_count[country] = per_kind
+        kind_total[country] = totals
+
+    vocabulary: dict[FeatureKind, set[str]] = {kind: set() for kind in kinds}
+    for name, values in raw_vocab.items():
+        try:
+            kind = kind_from_name(name)
+        except ValueError as exc:
+            raise CorruptModel(str(exc)) from None
+        _require_model(kind in enabled, f"vocabulary uses disabled kind {name!r}")
+        _require_model(
+            isinstance(values, list) and all(isinstance(v, str) and v for v in values),
+            f"vocabulary[{name}] must be a list of non-empty strings",
+        )
+        vocabulary[kind] = set(values)
+        _require_model(len(vocabulary[kind]) == len(values), f"vocabulary[{name}] has duplicates")
+    for kind in kinds:
+        _require_model(
+            vocabulary[kind] == seen_values[kind],
+            f"vocabulary[{kind.value}] does not match the counted values",
+        )
+
+    return NaiveBayesModel(
+        alpha=float(alpha),
+        enabled_kinds=kinds,
+        class_count=class_count,
+        value_count=value_count,
+        kind_total=kind_total,
+        vocabulary=vocabulary,
+    )

@@ -19,6 +19,8 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 # The digits of an integer one digit longer than the limit (a short integer
 # where there is no limit).
 LONG_INTEGER = "1" * (DIGIT_LIMIT + 1) if DIGIT_LIMIT else "1"
+# An int with more digits than str() and repr() convert under that limit.
+TOO_LONG_FOR_TEXT = 10 ** max(DIGIT_LIMIT, 4300)
 
 # An integer JSON allows but no float can hold.
 BEYOND_FLOAT = 10**400

@@ -242,6 +242,15 @@ fallback_examples = [
 ]
 fallback_vector = {K.TIMEZONE: "v0", K.USER_LANGUAGE: "v0"}
 
+# Vocabulary {v0, v1}, alpha 1. On {TIMEZONE: "v0"} only CC's term is its own:
+# log(2/6), and BB's base term is log(1/3), the same float; AA's is log(1/9).
+tied_examples = (
+    [({K.TIMEZONE: "v1"}, "AA")] * 7
+    + [({K.TIMEZONE: "v1"}, "BB")]
+    + [({K.TIMEZONE: "v0"}, "CC")]
+    + [({K.TIMEZONE: "v1"}, "CC")] * 3
+)
+
 
 class TestCompiledScoring:
     @given(
@@ -311,6 +320,47 @@ class TestCompiledScoring:
         for vector in scored + [{}]:
             ranked = log_posterior(model, vector, uniform_priors=uniform)
             assert classify(model, vector, uniform_priors=uniform) == ranked[0][0]
+            first = log_posterior(model, vector, uniform_priors=uniform, top=1)
+            assert classify(model, vector, uniform_priors=uniform) == first[0][0]
+
+    @given(
+        count_tables,
+        st.sampled_from([0.0, 0.5, 1.0]),
+        kind_subsets,
+        st.lists(scored_vectors, min_size=1, max_size=8),
+        st.booleans(),
+    )
+    # Uniform priors: CC counted the scored value and BB did not, and both score
+    # log(1/3) exactly (2/6 and 1/3 round to the same float), so the touched
+    # class ties an untouched one that comes first in code order.
+    @example(tied_examples, 1.0, {K.TIMEZONE}, [{K.TIMEZONE: "v0"}], True)
+    @example(tied_examples, 1.0, {K.TIMEZONE}, [{K.TIMEZONE: "v0"}], False)
+    @example(fallback_examples, 0.0, {K.TIMEZONE, K.USER_LANGUAGE}, [fallback_vector], False)
+    @example(fallback_examples, 0.0, {K.TIMEZONE, K.USER_LANGUAGE}, [fallback_vector], True)
+    @settings(max_examples=300, deadline=None)
+    def test_top_is_a_prefix_of_the_full_ranking(self, examples, alpha, kinds, scored, uniform):
+        model = train(examples, alpha=alpha, enabled_kinds=kinds)
+        classes = len(model.class_count)
+        # twice over, so the second pass reads the start rankings the first one cached
+        for _ in range(2):
+            for vector in scored + [{}]:
+                ranked = reference_log_posterior(model, vector, uniform_priors=uniform)
+                for top in range(1, classes + 2):
+                    assert_same_ranking(
+                        log_posterior(model, vector, uniform_priors=uniform, top=top), ranked[:top]
+                    )
+
+    def test_touched_class_ties_an_untouched_one(self):
+        model = train(tied_examples, enabled_kinds=(K.TIMEZONE,))
+        ranked = log_posterior(model, {K.TIMEZONE: "v0"}, uniform_priors=True)
+        assert [country for country, _ in ranked] == ["BB", "CC", "AA"]
+        assert ranked[0][1] == ranked[1][1]
+        assert log_posterior(model, {K.TIMEZONE: "v0"}, uniform_priors=True, top=1) == ranked[:1]
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one(self, tiny_model, top):
+        with pytest.raises(ValueError, match="top must be at least 1"):
+            log_posterior(tiny_model, {K.TIMEZONE: "amsterdam"}, top=top)
 
     @pytest.mark.parametrize("uniform", [False, True])
     def test_all_minus_inf_fallback_matches_per_class_loop(self, uniform):
@@ -411,6 +461,17 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(tiny_model, path)
         assert load_model_config(path) is None
+
+    def test_loaded_config_is_saved_back(self, tiny_model, tmp_path):
+        path, copy, other = tmp_path / "model.json", tmp_path / "copy.json", tmp_path / "other.json"
+        save_model(tiny_model, path, config={"case_fold": False})
+        loaded = load_model(path)
+        assert loaded.config == {"case_fold": False}
+        save_model(loaded, copy)
+        assert copy.read_bytes() == path.read_bytes()
+        # An explicit config replaces the loaded one.
+        save_model(loaded, other, config={"case_fold": True})
+        assert load_model_config(other) == {"case_fold": True}
 
     @given(example_lists)
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import tweetcountry
-from tweetcountry import cli
+from tweetcountry import bayes, cli
+from tweetcountry.bayes import load_model, save_model
 from tweetcountry.cli import (
     EXIT_GEOCODER,
     EXIT_INPUT,
@@ -233,6 +236,34 @@ class TestClassify:
         )
         first = json.loads(output.read_text().splitlines()[0])
         assert len(first["top"]) == 5
+
+    def test_reads_the_model_file_once(self, tmp_path, model_file, monkeypatch, capsys):
+        # The config echo comes from load_model's own parse of the file.
+        save_model(load_model(model_file), model_file, config={"case_fold": False})
+        raw = tmp_path / "raw.ndjson"
+        raw.write_text(json.dumps({"id": "1", "time_zone": "ZONE AA"}) + "\n", encoding="utf-8")
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.path.exists(file):
+                opened.append(os.path.realpath(file))
+            return real_open(file, *args, **kwargs)
+
+        def no_second_read(path):
+            raise AssertionError("classify read the model's config a second time")
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(bayes, "load_model_config", no_second_read)
+        monkeypatch.setattr(cli, "load_model_config", no_second_read, raising=False)
+        output = tmp_path / "predictions.ndjson"
+        code = main(["classify", "--input", str(raw), "--model", str(model_file), "--output", str(output)])
+        assert code == EXIT_OK
+        assert opened.count(os.path.realpath(model_file)) == 1
+        # case_fold off, as the model records: "ZONE AA" is not the trained "zone aa".
+        row = json.loads(output.read_text().splitlines()[0])
+        assert row["diagnostics"] == ["LIMITED_INFORMATION", "OOV_ONLY"]
 
     def test_oov_tweet_gets_diagnostics(self, tmp_path, model_file):
         raw = tmp_path / "raw.ndjson"

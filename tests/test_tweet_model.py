@@ -21,7 +21,7 @@ from tweetcountry.tweet_model import (
 )
 
 from reference_impl import ConstructionDiverged, reference_construct, reference_record_from_dict
-from strategies import BEYOND_FLOAT, integers, numbers, strings, tweet_objects
+from strategies import BEYOND_FLOAT, DIGIT_LIMIT, TOO_LONG_FOR_TEXT, integers, numbers, strings, tweet_objects
 
 
 def test_is_country_code():
@@ -343,6 +343,9 @@ class TestMatchesReference:
     @example({"lon": 1.0, "user": [], "text": None, "place_country_code": "N1"})
     @example({"lang": "EN", "user": {"lang": ""}, "utc_offset_seconds": True})
     @example(MappingProxyType({"user": MappingProxyType({"location": "x"}), "geo": (52.0, 4.0)}))
+    @example({"id": TOO_LONG_FOR_TEXT})
+    @example({"utc_offset_seconds": -TOO_LONG_FOR_TEXT})
+    @example({"lon": TOO_LONG_FOR_TEXT, "lat": 0})
     def test_record_from_dict(self, obj):
         expected = _outcome(reference_record_from_dict, obj)
         actual = _outcome(record_from_dict, obj)
@@ -350,6 +353,11 @@ class TestMatchesReference:
             # The reference let float() overflow escape; now it is malformed input.
             assert actual[:2] == ("error", MalformedInput)
             assert "out of range" in actual[2]
+        elif expected[:2] == ("error", ValueError) and DIGIT_LIMIT:
+            # The reference let str() or repr() of an int past the digit limit
+            # escape; now it is malformed input.
+            assert actual[:2] == ("error", MalformedInput)
+            assert "too long to convert" in actual[2] or "out of range: <integer of" in actual[2]
         else:
             assert actual == expected
 
@@ -379,5 +387,14 @@ class TestMatchesReference:
     @example({"latitude": 0, "longitude": -180.5})
     @example({"utc_offset_seconds": 50401})
     @example({"place_country_code": "nl"})
+    @example({"utc_offset_seconds": TOO_LONG_FOR_TEXT})
+    @example({"latitude": -TOO_LONG_FOR_TEXT, "longitude": 0})
     def test_direct_construction(self, fields):
-        assert _outcome(TweetRecord, **fields) == _outcome(reference_construct, **fields)
+        expected = _outcome(reference_construct, **fields)
+        actual = _outcome(TweetRecord, **fields)
+        if expected[:2] == ("error", ValueError) and DIGIT_LIMIT:
+            # repr() of an int past the digit limit escaped the reference's message.
+            assert actual[:2] == ("error", MalformedInput)
+            assert "out of range: <integer of" in actual[2]
+        else:
+            assert actual == expected
