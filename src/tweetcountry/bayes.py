@@ -35,7 +35,7 @@ from typing import Any, Iterable
 from .atomic import write_json_atomic
 from .errors import CorruptModel, EmptyTrainingSet
 from .features import ALL_KINDS, FeatureKind, FeatureVector, kind_from_name, ordered_kinds
-from .tweet_model import is_country_code
+from .tweet_model import _shown, is_country_code
 
 log = logging.getLogger(__name__)
 
@@ -367,7 +367,7 @@ def _is_count(value: Any, minimum: int = 0) -> bool:
 
 
 def _bad_count(what: str, value: Any, minimum: int = 0) -> CorruptModel:
-    return CorruptModel(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return CorruptModel(f"{what} must be an integer >= {minimum}, got {_shown(value)}")
 
 
 def _kind(name: Any) -> FeatureKind:
@@ -396,13 +396,13 @@ def model_from_dict(document: Any) -> NaiveBayesModel:
     if not isinstance(document, dict):
         raise CorruptModel("model document must be a JSON object")
     if document.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise CorruptModel(f"unsupported schema_version {document.get('schema_version')!r}")
+        raise CorruptModel(f"unsupported schema_version {_shown(document.get('schema_version'))}")
     alpha = document.get("alpha")
     if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool) and alpha >= 0):
-        raise CorruptModel(f"alpha must be a non-negative number, got {alpha!r}")
+        raise CorruptModel(f"alpha must be a non-negative number, got {_shown(alpha)}")
     # An integer beyond the float range would overflow float() below.
     if not alpha <= sys.float_info.max:
-        raise CorruptModel(f"alpha must be finite, got {alpha!r}")
+        raise CorruptModel(f"alpha must be finite, got {_shown(alpha)}")
 
     raw_kinds = document.get("enabled_kinds")
     if not (isinstance(raw_kinds, list) and raw_kinds):
@@ -485,7 +485,8 @@ def model_from_dict(document: Any) -> NaiveBayesModel:
             summed = sum(per_kind.get(kind, {}).values())
             if declared != summed:
                 raise CorruptModel(
-                    f"kind_total[{country}][{kind.value}] is {declared} but values sum to {summed}"
+                    f"kind_total[{country}][{kind.value}] is {_shown(declared)}"
+                    f" but values sum to {_shown(summed)}"
                 )
             if declared > class_count[country]:
                 raise CorruptModel(f"kind_total[{country}][{kind.value}] exceeds the class size")
@@ -517,26 +518,28 @@ def model_from_dict(document: Any) -> NaiveBayesModel:
     )
 
 
-def load_model(path: str | Path) -> NaiveBayesModel:
-    """Read and validate a model file. Any defect raises CorruptModel."""
+def _read_document(path: str | Path) -> Any:
+    """The decoded JSON of a model file; a file that cannot be read or
+    decoded raises CorruptModel."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorruptModel(f"cannot read model file: {exc}") from exc
     try:
-        document = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and the integer digit limit.
         raise CorruptModel(f"model file is not valid JSON: {exc}") from None
-    return model_from_dict(document)
+
+
+def load_model(path: str | Path) -> NaiveBayesModel:
+    """Read and validate a model file. Any defect raises CorruptModel."""
+    return model_from_dict(_read_document(path))
 
 
 def load_model_config(path: str | Path) -> dict | None:
     """The config echo embedded in a model file, if any."""
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise CorruptModel(f"cannot read model file: {exc}") from None
+    document = _read_document(path)
     if not isinstance(document, dict):
         raise CorruptModel("model document must be a JSON object")
     return _config_of(document)

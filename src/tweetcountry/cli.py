@@ -70,7 +70,7 @@ from .geocode import (
     load_gazetteer,
     load_reverse_points,
 )
-from .tweet_model import TweetRecord, label_of, parse_tweet, to_flat_dict
+from .tweet_model import TweetRecord, label_of, parse_tweet, read_ndjson, to_flat_dict
 
 log = logging.getLogger(__name__)
 
@@ -198,14 +198,20 @@ def build_geocoder(cfg: SimpleNamespace) -> Geocoder:
     )
 
 
-def _print_summary(payload: dict) -> None:
-    print(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2))
-
-
 def _require_paths(cfg: SimpleNamespace, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) in (None, ""):
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
+
+
+def _write_reports(cfg: SimpleNamespace, report, write_json, write_csv) -> dict:
+    """Write the report to --report-json and --report-csv, each if given, and
+    return both paths for the summary."""
+    if cfg.report_json:
+        write_json(report, cfg.report_json)
+    if cfg.report_csv:
+        write_csv(report, cfg.report_csv)
+    return {"report_json": cfg.report_json, "report_csv": cfg.report_csv}
 
 
 # json.dumps with options builds an encoder per call; output lines share one.
@@ -219,30 +225,21 @@ def _dump_line(obj: dict) -> str:
 def _records(cfg: SimpleNamespace, totals: dict[str, int]) -> Iterator[tuple[int, TweetRecord]]:
     """Yield (line number, record) for each well-formed line of --input.
 
-    Lines end at "\n". Blank lines are skipped; every other line counts in
-    totals["total"]. A malformed line, bytes that are not UTF-8 included,
-    counts in totals["malformed"], or with --strict raises MalformedInput
-    prefixed with path:lineno.
+    Lines are read by ``read_ndjson``; every non-blank one counts in
+    totals["total"]. A malformed line counts in totals["malformed"], or with
+    --strict raises MalformedInput prefixed with path:lineno.
     """
-    with open(cfg.input, "rb") as source:
-        for lineno, raw in enumerate(source, 1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                record, error = parse_tweet(line), None
-            except (UnicodeDecodeError, MalformedInput) as exc:
-                record, error = None, exc
-            totals["total"] += 1
-            if error is not None:
-                if cfg.strict:
-                    raise MalformedInput(f"{cfg.input}:{lineno}: {error}") from None
-                totals["malformed"] += 1
-                continue
-            yield lineno, record
+    for lineno, record, error in read_ndjson(cfg.input, parse_tweet):
+        totals["total"] += 1
+        if error is not None:
+            if cfg.strict:
+                raise MalformedInput(f"{cfg.input}:{lineno}: {error}") from None
+            totals["malformed"] += 1
+            continue
+        yield lineno, record
 
 
-def cmd_label(cfg: SimpleNamespace) -> int:
+def cmd_label(cfg: SimpleNamespace) -> dict:
     """Read raw tweets, write records whose country could be derived."""
     _require_paths(cfg, "input", "output")
     geocoder = build_geocoder(cfg)
@@ -264,44 +261,27 @@ def cmd_label(cfg: SimpleNamespace) -> int:
             obj["config_sha256"] = cfg.digest
             sink.write(_dump_line(obj) + "\n")
             totals["labeled"] += 1
-    _print_summary(
-        {"command": "label", **totals, "output": cfg.output, "config": cfg.echo, "config_sha256": cfg.digest}
-    )
-    return EXIT_OK
+    return {**totals, "output": cfg.output}
 
 
-def _labeled_examples(cfg: SimpleNamespace, geocoder: Geocoder, path: str):
-    data = load_labeled_ndjson(path)
-    kinds = parse_kinds_label(cfg.kinds)
-    vectors = [
-        extract_features(tweet, geocoder, kinds, case_fold=cfg.case_fold)
-        for tweet, _ in data.examples
-    ]
-    return data, kinds, vectors
-
-
-def cmd_train(cfg: SimpleNamespace) -> int:
+def cmd_train(cfg: SimpleNamespace) -> dict:
     """Fit a model on a labeled NDJSON file and write it as JSON."""
     _require_paths(cfg, "input", "model")
     geocoder = build_geocoder(cfg)
-    data, kinds, vectors = _labeled_examples(cfg, geocoder, cfg.input)
+    data = load_labeled_ndjson(cfg.input)
+    kinds = parse_kinds_label(cfg.kinds)
+    vectors = data.vectors(geocoder, kinds, cfg.case_fold)
     model = train(zip(vectors, data.labels()), alpha=cfg.alpha, enabled_kinds=kinds)
     save_model(model, cfg.model, config=cfg.echo)
-    _print_summary(
-        {
-            "command": "train",
-            "model": cfg.model,
-            "classes": len(model.class_count),
-            "total_examples": model.total_examples,
-            "vocabulary_sizes": model.vocabulary_sizes(),
-            "config": cfg.echo,
-            "config_sha256": cfg.digest,
-        }
-    )
-    return EXIT_OK
+    return {
+        "model": cfg.model,
+        "classes": len(model.class_count),
+        "total_examples": model.total_examples,
+        "vocabulary_sizes": model.vocabulary_sizes(),
+    }
 
 
-def cmd_classify(cfg: SimpleNamespace) -> int:
+def cmd_classify(cfg: SimpleNamespace) -> dict:
     """Predict a country per input tweet; one output line per parsed tweet."""
     _require_paths(cfg, "input", "output", "model")
     model = load_model(cfg.model)
@@ -334,13 +314,10 @@ def cmd_classify(cfg: SimpleNamespace) -> int:
             }
             sink.write(_dump_line(obj) + "\n")
             totals["classified"] += 1
-    _print_summary(
-        {"command": "classify", **totals, "output": cfg.output, "config": cfg.echo, "config_sha256": cfg.digest}
-    )
-    return EXIT_OK
+    return {**totals, "output": cfg.output}
 
 
-def cmd_evaluate(cfg: SimpleNamespace) -> int:
+def cmd_evaluate(cfg: SimpleNamespace) -> dict:
     """Seeded k-fold cross-validation on a labeled NDJSON file."""
     _require_paths(cfg, "input")
     geocoder = build_geocoder(cfg)
@@ -357,24 +334,13 @@ def cmd_evaluate(cfg: SimpleNamespace) -> int:
         case_fold=cfg.case_fold,
         config={"cli": cfg.echo},
     )
-    if cfg.report_json:
-        write_evaluation_json(report, cfg.report_json)
-    if cfg.report_csv:
-        write_evaluation_csv(report, cfg.report_csv)
-    _print_summary(
-        {
-            "command": "evaluate",
-            "n_evaluated": report.n_evaluated,
-            "accuracy_pooled": float(report.pooled_accuracy),
-            "accuracy_pooled_fraction": f"{report.pooled_accuracy.numerator}/{report.pooled_accuracy.denominator}",
-            "accuracy_mean_of_folds": float(report.mean_fold_accuracy),
-            "report_json": cfg.report_json,
-            "report_csv": cfg.report_csv,
-            "config": cfg.echo,
-            "config_sha256": cfg.digest,
-        }
-    )
-    return EXIT_OK
+    return {
+        **_write_reports(cfg, report, write_evaluation_json, write_evaluation_csv),
+        "n_evaluated": report.n_evaluated,
+        "accuracy_pooled": float(report.pooled_accuracy),
+        "accuracy_pooled_fraction": f"{report.pooled_accuracy.numerator}/{report.pooled_accuracy.denominator}",
+        "accuracy_mean_of_folds": float(report.mean_fold_accuracy),
+    }
 
 
 def _parse_kind_sets(text: str) -> list[tuple[FeatureKind, ...]]:
@@ -397,7 +363,7 @@ def _ablation_subsets(cfg: SimpleNamespace):
     return list(ABLATION_PRESETS[preset])
 
 
-def cmd_ablate(cfg: SimpleNamespace) -> int:
+def cmd_ablate(cfg: SimpleNamespace) -> dict:
     """Cross-validate a grid of feature subsets against identical folds."""
     _require_paths(cfg, "input")
     geocoder = build_geocoder(cfg)
@@ -414,29 +380,16 @@ def cmd_ablate(cfg: SimpleNamespace) -> int:
         case_fold=cfg.case_fold,
         config={"cli": cfg.echo},
     )
-    if cfg.report_json:
-        write_ablation_json(rows, cfg.report_json)
-    if cfg.report_csv:
-        write_ablation_csv(rows, cfg.report_csv)
     best = max(rows, key=lambda row: row.report.pooled_accuracy)
-    _print_summary(
-        {
-            "command": "ablate",
-            "subsets": {
-                row.label: float(row.report.pooled_accuracy) for row in rows
-            },
-            "best_subset": best.label,
-            "best_accuracy": float(best.report.pooled_accuracy),
-            "report_json": cfg.report_json,
-            "report_csv": cfg.report_csv,
-            "config": cfg.echo,
-            "config_sha256": cfg.digest,
-        }
-    )
-    return EXIT_OK
+    return {
+        **_write_reports(cfg, rows, write_ablation_json, write_ablation_csv),
+        "subsets": {row.label: float(row.report.pooled_accuracy) for row in rows},
+        "best_subset": best.label,
+        "best_accuracy": float(best.report.pooled_accuracy),
+    }
 
 
-def cmd_report(cfg: SimpleNamespace) -> int:
+def cmd_report(cfg: SimpleNamespace) -> dict:
     """Per-country accuracy table with summary and region rows."""
     _require_paths(cfg, "input")
     geocoder = build_geocoder(cfg)
@@ -457,39 +410,28 @@ def cmd_report(cfg: SimpleNamespace) -> int:
         case_fold=cfg.case_fold,
         config={"cli": cfg.echo},
     )
-    if cfg.report_json:
-        write_per_country_json(report, cfg.report_json)
-    if cfg.report_csv:
-        write_per_country_csv(report, cfg.report_csv)
-    _print_summary(
-        {
-            "command": "report",
-            "mode": report.mode,
-            "countries": len(report.rows),
-            "omitted_countries": report.omitted_countries,
-            "average_percent": list(report.average),
-            "stddev_percent": list(report.stddev),
-            "region": report.region_name,
-            "region_percent": [float(value) * 100.0 for value in report.region_accuracies],
-            "report_json": cfg.report_json,
-            "report_csv": cfg.report_csv,
-            "config": cfg.echo,
-            "config_sha256": cfg.digest,
-        }
-    )
-    return EXIT_OK
+    return {
+        **_write_reports(cfg, report, write_per_country_json, write_per_country_csv),
+        "mode": report.mode,
+        "countries": len(report.rows),
+        "omitted_countries": report.omitted_countries,
+        "average_percent": list(report.average),
+        "stddev_percent": list(report.stddev),
+        "region": report.region_name,
+        "region_percent": [float(value) * 100.0 for value in report.region_accuracies],
+    }
 
 
-def cmd_cache(cfg: SimpleNamespace, action: str) -> int:
-    """Inspect or compact a persistent geocode cache file."""
+def cmd_cache_stats(cfg: SimpleNamespace) -> dict:
+    """Count the entries of a persistent geocode cache file."""
     _require_paths(cfg, "cache")
-    cache = GeocodeCache(cfg.cache)
-    if action == "stats":
-        _print_summary({"command": "cache stats", **cache.stats()})
-    else:
-        kept = cache.compact()
-        _print_summary({"command": "cache compact", "path": cfg.cache, "entries": kept})
-    return EXIT_OK
+    return GeocodeCache(cfg.cache).stats()
+
+
+def cmd_cache_compact(cfg: SimpleNamespace) -> dict:
+    """Rewrite a persistent geocode cache file sorted and deduplicated."""
+    _require_paths(cfg, "cache")
+    return {"path": cfg.cache, "entries": GeocodeCache(cfg.cache).compact()}
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
@@ -656,11 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_p = commands.add_parser("cache", help="inspect or compact a geocode cache")
     cache_actions = cache_p.add_subparsers(dest="cache_action", required=True)
-    for action in ("stats", "compact"):
+    for action, handler in (("stats", cmd_cache_stats), ("compact", cmd_cache_compact)):
         action_p = cache_actions.add_parser(action)
         action_p.add_argument("--cache", help="cache TSV file")
         _add_config_flag(action_p)
-        action_p.set_defaults(handler=None, cache_action=action)
+        # Replaces the "cache" the parent parser stored, so the summary names the action.
+        action_p.set_defaults(handler=handler, command=f"cache {action}")
 
     return parser
 
@@ -672,9 +615,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         cfg.case_fold_given = getattr(args, "case_fold", None)
-        if args.command == "cache":
-            return cmd_cache(cfg, args.cache_action)
-        return args.handler(cfg)
+        summary = {
+            **args.handler(cfg),
+            "command": args.command,
+            "config": cfg.echo,
+            "config_sha256": cfg.digest,
+        }
+        print(json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2))
+        return EXIT_OK
     except (
         MalformedInput,
         EmptyTrainingSet,

@@ -35,7 +35,14 @@ from .features import (
     kind_from_name,
     ordered_kinds,
 )
-from .tweet_model import OTHER_LABEL, TweetRecord, decode_object, is_country_code, record_from_dict
+from .tweet_model import (
+    OTHER_LABEL,
+    TweetRecord,
+    decode_object,
+    is_country_code,
+    read_ndjson,
+    record_from_dict,
+)
 
 DEFAULT_MIN_COUNT = 15
 
@@ -116,28 +123,36 @@ class LabeledDataset:
     def labels(self) -> list[str]:
         return [label for _, label in self.examples]
 
+    def vectors(
+        self, geoparser, kinds: Iterable[FeatureKind], case_fold: bool
+    ) -> list[FeatureVector]:
+        """The feature vector of every example, in order."""
+        return [
+            extract_features(tweet, geoparser, kinds, case_fold=case_fold)
+            for tweet, _ in self.examples
+        ]
+
+
+def _labeled_example(line: str) -> tuple[TweetRecord, str]:
+    obj = decode_object(line)
+    label = obj.get("country")
+    if not is_country_code(label):
+        raise MalformedInput("missing or invalid country label")
+    return record_from_dict(obj), label
+
 
 def load_labeled_ndjson(path: str | Path) -> LabeledDataset:
     """Read a labeled NDJSON file: flattened record fields plus "country".
 
-    Lines end at "\n". The first bad line, bytes that are not UTF-8
-    included, raises MalformedInput, prefixed with path:lineno.
+    Lines are read by ``read_ndjson``. The first bad line, bytes that are
+    not UTF-8 included, raises MalformedInput, prefixed with path:lineno.
     """
     path = Path(path)
     examples: list[tuple[TweetRecord, str]] = []
-    with path.open("rb") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = decode_object(line)
-                label = obj.get("country")
-                if not is_country_code(label):
-                    raise MalformedInput("missing or invalid country label")
-                examples.append((record_from_dict(obj), label))
-            except (UnicodeDecodeError, MalformedInput) as exc:
-                raise MalformedInput(f"{path}:{lineno}: {exc}") from None
+    for lineno, example, error in read_ndjson(path, _labeled_example):
+        if error is not None:
+            raise MalformedInput(f"{path}:{lineno}: {error}") from None
+        examples.append(example)
     return LabeledDataset(examples, source=str(path))
 
 
@@ -223,33 +238,6 @@ class EvaluationReport:
             "config": self.config,
             "config_sha256": self.config_sha256,
         }
-
-
-def _base_config(
-    *,
-    kinds: tuple[FeatureKind, ...],
-    alpha: float,
-    k: int,
-    seed: int,
-    orientation: str,
-    uniform_priors: bool,
-    case_fold: bool,
-    source: str,
-    extra: dict | None,
-) -> dict:
-    config = {
-        "kinds": [kind.value for kind in kinds],
-        "alpha": alpha,
-        "k": k,
-        "seed": seed,
-        "fold_orientation": orientation,
-        "uniform_priors": uniform_priors,
-        "case_fold": case_fold,
-        "dataset_source": source,
-    }
-    if extra:
-        config.update(extra)
-    return config
 
 
 def _restrict(
@@ -364,10 +352,7 @@ def ablate(
         raise ValueError("cross-validation needs at least two distinct countries")
     union = ordered_kinds(kind for subset in subset_list for kind in subset)
     assignment = kfold_split(len(labels), k, seed)
-    vectors = [
-        extract_features(tweet, geoparser, union, case_fold=case_fold)
-        for tweet, _ in data.examples
-    ]
+    vectors = data.vectors(geoparser, union, case_fold)
     # fold_pairs[s][f]: (predicted, true) pairs of subset s on fold f
     fold_pairs: list[list[list[tuple[str, str]]]] = [[] for _ in subset_list]
     for fold in range(k):
@@ -394,6 +379,18 @@ def ablate(
         for predicted, true in pooled:
             row = confusion.setdefault(true, {})
             row[predicted] = row.get(predicted, 0) + 1
+        echo = {
+            "kinds": [kind.value for kind in subset],
+            "alpha": alpha,
+            "k": k,
+            "seed": seed,
+            "fold_orientation": orientation,
+            "uniform_priors": uniform_priors,
+            "case_fold": case_fold,
+            "dataset_source": data.source,
+        }
+        if config:
+            echo.update(config)
         report = EvaluationReport(
             kinds=subset,
             pooled_accuracy=accuracy(pooled),
@@ -402,17 +399,7 @@ def ablate(
             fold_sizes=tuple(len(pairs) for pairs in per_fold),
             confusion=confusion,
             n_evaluated=len(pooled),
-            config=_base_config(
-                kinds=subset,
-                alpha=alpha,
-                k=k,
-                seed=seed,
-                orientation=orientation,
-                uniform_priors=uniform_priors,
-                case_fold=case_fold,
-                source=data.source,
-                extra=config,
-            ),
+            config=echo,
         )
         rows.append(AblationRow(kinds=subset, report=report))
     return rows
@@ -437,14 +424,6 @@ def collapse_region(labels: Iterable[str], region: Iterable[str]) -> list[str]:
     if not kept:
         raise ValueError("region must be non-empty")
     return [label if label in kept else OTHER_LABEL for label in labels]
-
-
-def collapse_dataset(data: LabeledDataset, region: Iterable[str]) -> LabeledDataset:
-    collapsed = collapse_region(data.labels(), region)
-    return LabeledDataset(
-        examples=[(tweet, label) for (tweet, _), label in zip(data.examples, collapsed)],
-        source=data.source,
-    )
 
 
 def _parse_region(lines: Iterable[str], provenance: str) -> frozenset[str]:
@@ -580,18 +559,12 @@ def per_country_report(
     region_set = frozenset(region) if region is not None else default_region()
 
     union = ordered_kinds(kind for kinds in sets for kind in kinds)
-    train_vectors = [
-        extract_features(tweet, geoparser, union, case_fold=case_fold)
-        for tweet, _ in train_data.examples
-    ]
+    train_vectors = train_data.vectors(geoparser, union, case_fold)
     train_labels = train_data.labels()
     if eval_data is train_data:
         eval_vectors: Sequence[FeatureVector] = train_vectors
     else:
-        eval_vectors = [
-            extract_features(tweet, geoparser, union, case_fold=case_fold)
-            for tweet, _ in eval_data.examples
-        ]
+        eval_vectors = eval_data.vectors(geoparser, union, case_fold)
     eval_labels = eval_data.labels()
 
     per_set_predictions = _predict_subsets(

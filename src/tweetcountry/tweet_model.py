@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from collections.abc import Mapping
+from pathlib import Path
 from types import MappingProxyType
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from .errors import MalformedInput, RemoteUnavailable, ResolverFailure
 
@@ -301,6 +302,28 @@ def decode_object(raw: str | bytes) -> dict[str, Any]:
 def parse_tweet(raw: str | bytes) -> TweetRecord:
     """Parse one raw tweet JSON document into a TweetRecord."""
     return record_from_dict(decode_object(raw))
+
+
+def read_ndjson(
+    path: str | Path, parse: Callable[[str], Any]
+) -> Iterator[tuple[int, Any, Exception | None]]:
+    """Yield (line number, parse(line), None) for each non-blank line of a file,
+    or (line number, None, error) for a line that is malformed.
+
+    Lines end at "\\n" only. Each line is decoded as UTF-8 and stripped before
+    parsing; bytes that are not UTF-8, and MalformedInput from ``parse``, are
+    the line's error.
+    """
+    with open(path, "rb") as source:
+        for lineno, raw in enumerate(source, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                item, error = parse(line), None
+            except (UnicodeDecodeError, MalformedInput) as exc:
+                item, error = None, exc
+            yield lineno, item, error
 
 
 def to_flat_dict(tweet: TweetRecord) -> dict[str, Any]:

@@ -590,8 +590,24 @@ class TestModelValidation:
     def test_nesting_too_deep_to_decode(self, tmp_path, read):
         path = tmp_path / "model.json"
         path.write_text("[" * 200_000, encoding="utf-8")
-        with pytest.raises(CorruptModel, match="not valid JSON|cannot read"):
+        with pytest.raises(CorruptModel, match="model file is not valid JSON"):
             read(path)
+
+    @pytest.mark.parametrize(
+        "contents",
+        [None, b"\xff{}", b"{broken", b"[" * 200_000],
+        ids=["missing", "not-utf8", "broken-json", "nested-too-deep"],
+    )
+    def test_both_readers_give_the_same_message(self, tmp_path, contents):
+        path = tmp_path / "model.json"
+        if contents is not None:
+            path.write_bytes(contents)
+        messages = []
+        for read in (load_model, load_model_config):
+            with pytest.raises(CorruptModel) as excinfo:
+                read(path)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
 
     def test_deep_copy_tamper_detection(self, tiny_model):
         # flipping any single count breaks at least one invariant

@@ -23,7 +23,7 @@ from tweetcountry.cli import (
     main,
     parse_config_file,
 )
-from tweetcountry.evaluation import load_labeled_ndjson
+from tweetcountry.evaluation import config_digest, load_labeled_ndjson
 from tweetcountry.tweet_model import parse_tweet, to_flat_dict
 
 from conftest import make_separable_corpus
@@ -600,6 +600,30 @@ class TestConfigResolution:
         code = main(["evaluate", "--input", str(labeled_file), "--config", str(config)])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "command",
+        ["label", "train", "classify", "evaluate", "ablate", "report", "cache stats", "cache compact"],
+    )
+    def test_every_summary_echoes_the_config(self, tmp_path, labeled_file, model_file, capsys, command):
+        raw = tmp_path / "raw.ndjson"
+        write_raw_corpus(raw)
+        output = ["--output", str(tmp_path / "out.ndjson")]
+        flags = {
+            "label": ["--input", str(raw), *output],
+            "train": ["--input", str(labeled_file), "--model", str(tmp_path / "retrained.json")],
+            "classify": ["--input", str(raw), *output, "--model", str(model_file)],
+            "evaluate": ["--input", str(labeled_file), "--k", "2"],
+            "ablate": ["--input", str(labeled_file), "--k", "2", "--subsets", "timezone"],
+            "report": ["--input", str(labeled_file)],
+        }
+        capsys.readouterr()
+        argv = [*command.split(), *flags.get(command, []), "--cache", str(tmp_path / "cache.tsv")]
+        assert main(argv) == EXIT_OK
+        summary = read_summary(capsys)
+        assert summary["command"] == command
+        assert summary["config"]["cache"] == str(tmp_path / "cache.tsv")
+        assert summary["config_sha256"] == config_digest(summary["config"])
+
     def test_parse_config_file(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("# comment\n\nalpha = 0.5\nkinds = timezone+location\n", encoding="utf-8")
@@ -774,7 +798,9 @@ def test_evaluate_deeply_nested_line_is_input_error(tmp_path, labeled_file, caps
     assert f"{labeled_file}:101: invalid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate"])
+# train and evaluate read labeled lines, label and classify (with --strict) raw
+# records; both readers split, decode and name lines the same way.
+@pytest.mark.parametrize("command", ["train", "evaluate", "label", "classify"])
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -788,12 +814,16 @@ def test_evaluate_deeply_nested_line_is_input_error(tmp_path, labeled_file, caps
     ],
     ids=["not-utf8", "lone-surrogate", "beyond-digit-limit"],
 )
-def test_labeled_text_errors_name_the_line(tmp_path, labeled_file, capsys, command, line, message):
+def test_labeled_text_errors_name_the_line(tmp_path, labeled_file, model_file, capsys, command, line, message):
     with labeled_file.open("ab") as handle:
         handle.write(line + b"\n")
-    argv = [command, "--input", str(labeled_file)]
-    argv += ["--model", str(tmp_path / "model.json")] if command == "train" else ["--k", "2"]
-    assert main(argv) == EXIT_INPUT
+    flags = {
+        "train": ["--model", str(tmp_path / "retrained.json")],
+        "evaluate": ["--k", "2"],
+        "label": ["--output", str(tmp_path / "out.ndjson"), "--strict"],
+        "classify": ["--output", str(tmp_path / "out.ndjson"), "--strict", "--model", str(model_file)],
+    }
+    assert main([command, "--input", str(labeled_file), *flags[command]]) == EXIT_INPUT
     assert f"{labeled_file}:101: {message}" in capsys.readouterr().err
 
 

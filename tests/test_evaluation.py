@@ -22,7 +22,6 @@ from tweetcountry.evaluation import (
     LabeledDataset,
     accuracy,
     ablate,
-    collapse_dataset,
     collapse_region,
     config_digest,
     cross_validate,
@@ -370,16 +369,6 @@ class TestRegion:
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):
             collapse_region(["NL"], set())
-
-    def test_collapse_dataset(self):
-        data = LabeledDataset(
-            [(TweetRecord(time_zone="a"), "NL"), (TweetRecord(time_zone="b"), "US")],
-            source="s",
-        )
-        collapsed = collapse_dataset(data, {"NL"})
-        assert collapsed.labels() == ["NL", OTHER_LABEL]
-        assert collapsed.source == "s"
-        assert collapsed.examples[0][0] is data.examples[0][0]
 
     def test_default_region(self):
         region = default_region()
