@@ -53,7 +53,10 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
         return
     target = target.resolve()
     tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
-    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        handle = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name the caller's target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with handle:
             yield handle

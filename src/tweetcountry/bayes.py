@@ -480,7 +480,7 @@ def model_from_dict(document: Any) -> NaiveBayesModel:
             if not _is_count(count):
                 raise _bad_count(f"kind_total[{country}][{name}]", count)
             totals[kind] = count
-        for kind in enabled:
+        for kind in kinds:
             declared = totals.get(kind, 0)
             summed = sum(per_kind.get(kind, {}).values())
             if declared != summed:

@@ -27,18 +27,9 @@ from .bayes import (
     save_model,
     train,
 )
-from .errors import (
-    ConflictingEntry,
-    CorruptModel,
-    EmptyEvaluationSet,
-    EmptyTrainingSet,
-    GeoparserFailure,
-    InvalidFoldCount,
-    InvalidQuery,
-    MalformedInput,
-    RemoteUnavailable,
-    ResolverFailure,
-)
+# The exit codes are re-exported here, where callers of main look for them.
+from .errors import EXIT_GEOCODER, EXIT_INPUT, EXIT_MODEL  # noqa: F401
+from .errors import MalformedInput, ResolverFailure, TweetCountryError
 from .evaluation import (
     ABLATION_PRESETS,
     DEFAULT_MIN_COUNT,
@@ -70,14 +61,11 @@ from .geocode import (
     load_gazetteer,
     load_reverse_points,
 )
-from .tweet_model import TweetRecord, label_of, parse_tweet, read_ndjson, to_flat_dict
+from .tweet_model import TweetRecord, label_of, parse_tweet, read_ndjson, table_lines, to_flat_dict
 
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_MODEL = 3
-EXIT_GEOCODER = 4
 
 CREDENTIAL_ENV_VAR = "TWEETCOUNTRY_REMOTE_CREDENTIAL"
 
@@ -129,19 +117,16 @@ CONFIG_FIELDS: dict[str, tuple[Callable[[str], Any], Any]] = {
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read ``key = value`` lines; blank lines and # comments are ignored."""
+    """Read a line table (``table_lines``) of ``key = value`` lines."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for where, raw in table_lines(Path(path).read_bytes(), str(path)):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
+            raise ValueError(f"{where}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in CONFIG_FIELDS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{where}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
@@ -623,28 +608,12 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2))
         return EXIT_OK
-    except (
-        MalformedInput,
-        EmptyTrainingSet,
-        EmptyEvaluationSet,
-        InvalidFoldCount,
-        ValueError,
-        OSError,
-    ) as exc:
+    except TweetCountryError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except CorruptModel as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except (
-        ConflictingEntry,
-        GeoparserFailure,
-        InvalidQuery,
-        RemoteUnavailable,
-        ResolverFailure,
-    ) as exc:
-        print(f"geocoding error: {exc}", file=sys.stderr)
-        return EXIT_GEOCODER
 
 
 def main_script() -> None:

@@ -38,10 +38,12 @@ from .features import (
 from .tweet_model import (
     OTHER_LABEL,
     TweetRecord,
+    bundled_data,
     decode_object,
     is_country_code,
     read_ndjson,
     record_from_dict,
+    table_lines,
 )
 
 DEFAULT_MIN_COUNT = 15
@@ -426,17 +428,15 @@ def collapse_region(labels: Iterable[str], region: Iterable[str]) -> list[str]:
     return [label if label in kept else OTHER_LABEL for label in labels]
 
 
-def _parse_region(lines: Iterable[str], provenance: str) -> frozenset[str]:
-    """Parse region lines: one alpha-2 code per line, # comments allowed."""
+def _parse_region(source: bytes | Iterable[str], provenance: str) -> frozenset[str]:
+    """Parse a line table (``table_lines``) of one alpha-2 code per line."""
     codes: set[str] = set()
-    for lineno, raw in enumerate(lines, 1):
+    for where, raw in table_lines(source, provenance):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         if not is_country_code(line):
-            raise ValueError(f"{provenance}:{lineno}: invalid country code {line!r}")
+            raise ValueError(f"{where}: invalid country code {line!r}")
         if line == OTHER_LABEL:
-            raise ValueError(f"{provenance}:{lineno}: region must not contain the collapse label")
+            raise ValueError(f"{where}: region must not contain the collapse label")
         codes.add(line)
     if not codes:
         raise ValueError(f"{provenance}: region file has no codes")
@@ -445,17 +445,12 @@ def _parse_region(lines: Iterable[str], provenance: str) -> frozenset[str]:
 
 def load_region(path: str | Path) -> frozenset[str]:
     """Read a region file: one alpha-2 code per line, # comments allowed."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        return _parse_region(handle, str(path))
+    return _parse_region(Path(path).read_bytes(), str(path))
 
 
 def default_region() -> frozenset[str]:
     """The bundled Europe region."""
-    from importlib import resources
-
-    text = resources.files("tweetcountry").joinpath("data", "europe.txt").read_text("utf-8")
-    return _parse_region(text.splitlines(), "bundled:europe.txt")
+    return _parse_region(bundled_data("europe.txt"), "bundled:europe.txt")
 
 
 @dataclass

@@ -14,14 +14,13 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Protocol
 
 from .atomic import write_text_atomic
-from .errors import ConflictingEntry, InvalidQuery, RemoteUnavailable
+from .errors import ConflictingEntry, InvalidQuery
 from .features import normalize_place
-from .tweet_model import OTHER_LABEL, is_country_code
+from .tweet_model import OTHER_LABEL, bundled_data, is_country_code, table_lines
 
 log = logging.getLogger(__name__)
 
@@ -116,33 +115,24 @@ class Gazetteer:
         return None
 
 
-def parse_gazetteer(lines: Iterable[str], provenance: str) -> Gazetteer:
-    """Build a gazetteer from TSV lines: name<TAB>alpha2, # comments allowed."""
+def parse_gazetteer(source: bytes | Iterable[str], provenance: str) -> Gazetteer:
+    """Build a gazetteer from a line table (``table_lines``) of name<TAB>alpha2."""
     table = Gazetteer()
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for where, line in table_lines(source, provenance):
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
-            raise ValueError(f"{provenance}:{lineno}: expected name<TAB>alpha2, got {line!r}")
-        table.add(fields[0], fields[1].strip(), provenance=f"{provenance}:{lineno}")
+            raise ValueError(f"{where}: expected name<TAB>alpha2, got {line!r}")
+        table.add(fields[0], fields[1].strip(), provenance=where)
     return table
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        return parse_gazetteer(handle, provenance=str(path))
-
-
-def _bundled_text(name: str) -> str:
-    return resources.files("tweetcountry").joinpath("data", name).read_text(encoding="utf-8")
+    return parse_gazetteer(Path(path).read_bytes(), str(path))
 
 
 def default_gazetteer() -> Gazetteer:
     """The gazetteer bundled with the package."""
-    return parse_gazetteer(_bundled_text("gazetteer.tsv").splitlines(), "bundled:gazetteer.tsv")
+    return parse_gazetteer(bundled_data("gazetteer.tsv"), "bundled:gazetteer.tsv")
 
 
 @dataclass(frozen=True)
@@ -159,6 +149,12 @@ def _escape_key(key: str) -> str:
         .replace("\n", "\\n")
         .replace("\r", "\\r")
     )
+
+
+def _cache_line(key: str, entry: CacheEntry) -> str:
+    """One cache file line: escaped key, outcome, source and timestamp."""
+    fields = (_escape_key(key), entry.country or NEGATIVE_MARK, entry.source, entry.timestamp)
+    return "\t".join(fields) + "\n"
 
 
 def _unescape_key(key: str) -> str:
@@ -247,8 +243,7 @@ class GeocodeCache:
         if country is not None and not is_country_code(country):
             raise ValueError(f"invalid cached country {country!r}")
         entry = CacheEntry(country, source, datetime.now(timezone.utc).isoformat())
-        line = "\t".join((_escape_key(key), country or NEGATIVE_MARK, source, entry.timestamp))
-        data = (line + "\n").encode("utf-8")
+        data = _cache_line(key, entry).encode("utf-8")
         with self._lock:
             self._entries[key] = entry
             if self._path is not None:
@@ -277,20 +272,7 @@ class GeocodeCache:
         with self._lock:
             if self._path is None:
                 return len(self._entries)
-            lines = []
-            for key in sorted(self._entries):
-                entry = self._entries[key]
-                lines.append(
-                    "\t".join(
-                        (
-                            _escape_key(key),
-                            entry.country or NEGATIVE_MARK,
-                            entry.source,
-                            entry.timestamp,
-                        )
-                    )
-                    + "\n"
-                )
+            lines = [_cache_line(key, self._entries[key]) for key in sorted(self._entries)]
             write_text_atomic(self._path, "".join(lines))
             return len(self._entries)
 
@@ -357,38 +339,35 @@ class ReversePointIndex:
         return best
 
 
-def parse_reverse_points(lines: Iterable[str], provenance: str) -> list[ReferencePoint]:
-    """Parse TSV lines: lat<TAB>lon<TAB>alpha2<TAB>name, # comments allowed."""
+def parse_reverse_points(source: bytes | Iterable[str], provenance: str) -> list[ReferencePoint]:
+    """Parse a line table (``table_lines``) of lat<TAB>lon<TAB>alpha2<TAB>name."""
     points: list[ReferencePoint] = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for where, line in table_lines(source, provenance):
         fields = line.split("\t")
         if len(fields) != 4:
-            raise ValueError(f"{provenance}:{lineno}: expected lat, lon, alpha2, name")
-        lat, lon = float(fields[0]), float(fields[1])
+            raise ValueError(f"{where}: expected lat, lon, alpha2, name")
+        try:
+            lat, lon = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise ValueError(f"{where}: coordinates must be numbers") from None
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            raise ValueError(f"{provenance}:{lineno}: coordinates out of range")
+            raise ValueError(f"{where}: coordinates out of range")
         code = fields[2].strip()
         if not is_country_code(code):
-            raise ValueError(f"{provenance}:{lineno}: invalid country code {code!r}")
+            raise ValueError(f"{where}: invalid country code {code!r}")
         points.append(ReferencePoint(lat, lon, code, fields[3].strip()))
     return points
 
 
-def load_reverse_points(path: str | Path, max_distance_km: float = DEFAULT_MAX_DISTANCE_KM) -> ReversePointIndex:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        return ReversePointIndex(parse_reverse_points(handle, str(path)), max_distance_km)
+def load_reverse_points(path: str | Path) -> ReversePointIndex:
+    return ReversePointIndex(parse_reverse_points(Path(path).read_bytes(), str(path)))
 
 
 def default_reverse_index() -> ReversePointIndex:
     """The reverse lookup fixture bundled with the package."""
-    points = parse_reverse_points(
-        _bundled_text("reverse_points.tsv").splitlines(), "bundled:reverse_points.tsv"
+    return ReversePointIndex(
+        parse_reverse_points(bundled_data("reverse_points.tsv"), "bundled:reverse_points.tsv")
     )
-    return ReversePointIndex(points)
 
 
 def reverse_cache_key(lat: float, lon: float) -> str:
@@ -426,39 +405,28 @@ class Geocoder:
         """Resolve free-text location to a country code, or None for a miss."""
         if not query or not query.strip():
             raise InvalidQuery("forward geocode query is empty")
-        cached = self.cache.get(query)
-        if cached is not None:
-            return cached.country
-        country = self.gazetteer.lookup(query)
-        if country is not None:
-            self.cache.put(query, country, "gazetteer")
-            return country
-        if self.remote is not None:
-            with self._remote_slots:
-                country = self.remote.forward(query)
-            self.cache.put(query, country, "remote")
-            return country
-        self.cache.put(query, None, "gazetteer")
-        return None
+        return self._resolve(query, self.gazetteer.lookup, "gazetteer", "forward", query)
 
     def reverse(self, lat: float, lon: float) -> str | None:
         """Resolve coordinates to a country code, or None for open water."""
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
             raise ValueError(f"coordinates out of range: ({lat}, {lon})")
-        key = reverse_cache_key(lat, lon)
+        index = self.reverse_index
+        offline = index.nearest_country if index is not None else None
+        return self._resolve(reverse_cache_key(lat, lon), offline, "points", "reverse", lat, lon)
+
+    def _resolve(self, key: str, offline, source: str, remote_method: str, *args) -> str | None:
+        """The cached outcome for key, else ``offline(*args)`` (None when absent),
+        else the remote backend's ``remote_method(*args)``. The outcome, a miss
+        included, is cached under key with the source of the last tier asked."""
         cached = self.cache.get(key)
         if cached is not None:
             return cached.country
-        if self.reverse_index is not None:
-            country = self.reverse_index.nearest_country(lat, lon)
-            if country is not None:
-                self.cache.put(key, country, "points")
-                return country
-        if self.remote is not None:
+        country = offline(*args) if offline is not None else None
+        if country is None and self.remote is not None:
             with self._remote_slots:
-                country = self.remote.reverse(lat, lon)
-            self.cache.put(key, country, "remote")
-            return country
-        self.cache.put(key, None, "points")
-        return None
+                country = getattr(self.remote, remote_method)(*args)
+            source = "remote"
+        self.cache.put(key, country, source)
+        return country
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from collections.abc import Mapping
+from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import MalformedInput, RemoteUnavailable, ResolverFailure
 
@@ -324,6 +325,29 @@ def read_ndjson(
             except (UnicodeDecodeError, MalformedInput) as exc:
                 item, error = None, exc
             yield lineno, item, error
+
+
+def table_lines(source: bytes | Iterable[str], name: str) -> Iterator[tuple[str, str]]:
+    """Yield ("name:lineno", line) for each line of a config, region, gazetteer
+    or reverse-point file, given as its bytes (decoded as UTF-8 once) or as
+    text lines. A line ends at "\\n" and a "\\r" before it is dropped; blank
+    lines and "#" comments are skipped. Non-UTF-8 bytes raise ValueError."""
+    if isinstance(source, bytes):
+        try:
+            source = source.decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            lineno = source.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{name}:{lineno}: not UTF-8 text") from None
+    for lineno, line in enumerate(source, 1):
+        line = line.removesuffix("\n").removesuffix("\r")
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield f"{name}:{lineno}", line
+
+
+def bundled_data(name: str) -> bytes:
+    """The bytes of a data file shipped in the package's data directory."""
+    return resources.files(__package__).joinpath("data", name).read_bytes()
 
 
 def to_flat_dict(tweet: TweetRecord) -> dict[str, Any]:

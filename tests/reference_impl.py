@@ -361,7 +361,7 @@ def reference_model_from_dict(document: Any) -> NaiveBayesModel:
                 raise CorruptModel(str(exc)) from None
             _require_model(kind in enabled, f"kind_total uses disabled kind {name!r}")
             totals[kind] = _checked_count(count, f"kind_total[{country}][{name}]")
-        for kind in enabled:
+        for kind in kinds:
             declared = totals.get(kind, 0)
             summed = sum(per_kind.get(kind, {}).values())
             _require_model(

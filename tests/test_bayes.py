@@ -5,13 +5,18 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tweetcountry
 from tweetcountry.bayes import (
     MODEL_SCHEMA_VERSION,
     classify,
@@ -549,6 +554,30 @@ class TestModelValidation:
     def test_kind_total_mismatch(self, document):
         document["kind_total"]["NL"]["timezone"] = 5
         self._expect_corrupt(document)
+
+    def test_kind_total_error_names_the_same_kind_under_every_hash_seed(self, tmp_path):
+        """Kinds are checked in canonical order, not in the order of a set."""
+        model = train([({K.LOCATION: "london", K.TIMEZONE: "london"}, "GB")], alpha=1.0)
+        document = model_to_dict(model)
+        document["kind_total"]["GB"] = {"location": 0, "timezone": 0}
+        script = (
+            "import json, sys\n"
+            "from tweetcountry.bayes import model_from_dict\n"
+            "from tweetcountry.errors import CorruptModel\n"
+            "try:\n    model_from_dict(json.load(sys.stdin))\n"
+            "except CorruptModel as exc:\n    print(exc)\n"
+        )
+        package_root = str(Path(tweetcountry.__file__).resolve().parents[1])
+        messages = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=package_root)
+            result = subprocess.run(
+                [sys.executable, "-c", script], input=json.dumps(document), capture_output=True,
+                encoding="utf-8", env=env, timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+            messages.add(result.stdout)
+        assert messages == {"kind_total[GB][location] is 0 but values sum to 1\n"}
 
     def test_kind_total_exceeds_class_size(self, document):
         document["value_count"]["NL"]["timezone"]["amsterdam"] = 9

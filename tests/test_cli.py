@@ -95,7 +95,7 @@ class TestLabel:
         assert summary["labeled"] == 2
         assert summary["skipped"] == 2
         assert summary["malformed"] == 1
-        rows = [json.loads(line) for line in output.read_text().splitlines()]
+        rows = [json.loads(line) for line in output.read_text(encoding="utf-8").splitlines()]
         assert [row["id"] for row in rows] == ["1", "2"]
         assert all(row["country"] == "NL" for row in rows)
         assert all("config_sha256" in row for row in rows)
@@ -201,7 +201,7 @@ class TestClassify:
         assert code == EXIT_OK
         summary = read_summary(capsys)
         assert summary["classified"] == 100
-        rows = [json.loads(line) for line in output.read_text().splitlines()]
+        rows = [json.loads(line) for line in output.read_text(encoding="utf-8").splitlines()]
         assert len(rows) == 100
         by_id = {tweet.id: country for tweet, country in data.examples}
         for row in rows:
@@ -234,7 +234,7 @@ class TestClassify:
                 "5",
             ]
         )
-        first = json.loads(output.read_text().splitlines()[0])
+        first = json.loads(output.read_text(encoding="utf-8").splitlines()[0])
         assert len(first["top"]) == 5
 
     def test_reads_the_model_file_once(self, tmp_path, model_file, monkeypatch, capsys):
@@ -262,7 +262,7 @@ class TestClassify:
         assert code == EXIT_OK
         assert opened.count(os.path.realpath(model_file)) == 1
         # case_fold off, as the model records: "ZONE AA" is not the trained "zone aa".
-        row = json.loads(output.read_text().splitlines()[0])
+        row = json.loads(output.read_text(encoding="utf-8").splitlines()[0])
         assert row["diagnostics"] == ["LIMITED_INFORMATION", "OOV_ONLY"]
 
     def test_oov_tweet_gets_diagnostics(self, tmp_path, model_file):
@@ -275,7 +275,7 @@ class TestClassify:
         main(
             ["classify", "--input", str(raw), "--model", str(model_file), "--output", str(output)]
         )
-        row = json.loads(output.read_text().splitlines()[0])
+        row = json.loads(output.read_text(encoding="utf-8").splitlines()[0])
         assert "OOV_ONLY" in row["diagnostics"]
         assert "LIMITED_INFORMATION" in row["diagnostics"]
 
@@ -443,6 +443,15 @@ class TestAblate:
     def test_unknown_preset(self, labeled_file):
         code = main(["ablate", "--input", str(labeled_file), "--preset", "bogus"])
         assert code == EXIT_INPUT
+
+
+    def test_missing_report_directory_is_named_as_given(self, tmp_path, labeled_file, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["ablate", "--input", str(labeled_file), "--k", "2", "--report-csv", "missing_dir/a.csv"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "missing_dir/a.csv" in err
+        assert ".tmp" not in err
 
 
 class TestReport:
@@ -918,6 +927,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "tweetcountry", "--help"],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=60,
     )
     assert result.returncode == 0

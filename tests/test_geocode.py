@@ -346,7 +346,7 @@ class TestCache:
             f"x\\ty\t-\tpoints\t{second.timestamp}\n"
         ).encode("utf-8")
         reference = tmp_path / "reference.tsv"
-        reference.open("a").close()
+        reference.open("a", encoding="utf-8").close()
         assert path.stat().st_mode == reference.stat().st_mode
 
     @pytest.mark.parametrize("with_file", [False, True])

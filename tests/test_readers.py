@@ -40,9 +40,15 @@ from tweetcountry.cli import (
     parse_config_file,
 )
 from tweetcountry.errors import ConflictingEntry, CorruptModel, MalformedInput
-from tweetcountry.evaluation import load_labeled_ndjson, load_region
+from tweetcountry.evaluation import _parse_region, load_labeled_ndjson, load_region
 from tweetcountry.features import FeatureKind, extract_features
-from tweetcountry.geocode import GeocodeCache, parse_gazetteer, parse_reverse_points
+from tweetcountry.geocode import (
+    GeocodeCache,
+    load_gazetteer,
+    load_reverse_points,
+    parse_gazetteer,
+    parse_reverse_points,
+)
 from tweetcountry.tweet_model import (
     TweetRecord,
     is_country_code,
@@ -418,6 +424,57 @@ def test_load_region_raises_only_value_error(files_dir, data):
     except ValueError:  # UnicodeDecodeError is one
         return
     assert codes and all(is_country_code(code) and code != "ZZ" for code in codes)
+
+
+# Each line-table reader: its loader of a path, its parser of text lines (None
+# when it reads only files), two good rows, and a row holding "{sep}" with the
+# error it gives as long as it stays one line.
+TABLE_READERS = {
+    "config": (parse_config_file, None, ["top = 3", "seed = 1"], "bogus{sep}top = 3", "unknown config key"),
+    "region": (load_region, _parse_region, ["NL", "DE"], "NL{sep}DE", "invalid country code"),
+    "gazetteer": (
+        load_gazetteer, parse_gazetteer, ["Paris\tFR", "Lyon\tFR"], "Paris\tFR{sep}Lyon\tFR",
+        "expected name<TAB>alpha2",
+    ),
+    "reverse points": (
+        load_reverse_points, parse_reverse_points, ["52\t4\tNL\tA", "51\t5\tNL\tB"],
+        "52\t4\tNL\tA{sep}51\t5\tNL\tB", "expected lat, lon, alpha2, name",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, feed",
+    [
+        (name, feed)
+        for name, reader in TABLE_READERS.items()
+        for feed in ("path", "lines")
+        if feed == "path" or reader[1] is not None
+    ],
+)
+def test_table_readers_share_one_line_rule(tmp_path, name, feed):
+    """UTF-8, lines end at a line feed (a carriage return before it is dropped),
+    and every error names its source and line."""
+    load, parse, rows, joined, error = TABLE_READERS[name]
+    path = tmp_path / "table.txt"
+    source = str(path) if feed == "path" else "lines"
+
+    def read(data: bytes):
+        if feed == "lines":
+            return parse(data.decode("utf-8").split("\n"), source)
+        path.write_bytes(data)
+        return load(path)
+
+    assert len(read("".join(row + "\r\n" for row in rows).encode("utf-8"))) == 2
+    for sep in ("\r", "\f", "\u2028"):
+        with pytest.raises(ValueError, match=re.escape(f"{source}:2: {error}")):
+            read(f"{rows[0]}\n{joined.format(sep=sep)}\n".encode("utf-8"))
+    if feed == "path":
+        with pytest.raises(ValueError, match=re.escape(f"{source}:2: ")):
+            read(f"{rows[0]}\n".encode("utf-8") + b"\xff" + rows[1].encode("utf-8"))
+    if name == "reverse points":
+        with pytest.raises(ValueError, match=re.escape(f"{source}:2: coordinates must be numbers")):
+            read(b"52\t4\tNL\tA\nabc\t4\tNL\tB\n")
 
 
 # Path-valued config keys and flags draw from these names in the run directory.
