@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, TextIO
@@ -52,7 +51,7 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
             yield handle
         return
     target = target.resolve()
-    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
         handle = open(tmp, "x", encoding="utf-8")
     except OSError as exc:  # name the caller's target, not the temporary file

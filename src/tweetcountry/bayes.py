@@ -26,7 +26,6 @@ import logging
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import filterfalse, islice
 from pathlib import Path
@@ -35,27 +34,38 @@ from typing import Any, Iterable
 from .atomic import write_json_atomic
 from .errors import CorruptModel, EmptyTrainingSet
 from .features import ALL_KINDS, FeatureKind, FeatureVector, kind_from_name, ordered_kinds
-from .tweet_model import _shown, is_country_code
+from .tweet_model import ValueClass, _shown, is_country_code
 
 log = logging.getLogger(__name__)
 
 MODEL_SCHEMA_VERSION = 1
 
 
-@dataclass
-class NaiveBayesModel:
+class NaiveBayesModel(ValueClass):
     """Count tables for one trained classifier. Treat as immutable once built."""
 
-    alpha: float
-    enabled_kinds: tuple[FeatureKind, ...]
-    class_count: dict[str, int]
-    value_count: dict[str, dict[FeatureKind, dict[str, int]]]
-    kind_total: dict[str, dict[FeatureKind, int]]
-    vocabulary: dict[FeatureKind, set[str]]
-    # The config echo of the file the model was loaded from, if it has one;
-    # saving writes it back unless given another. Not part of the counts: it
-    # takes no part in ``==`` or ``repr``.
-    config: dict | None = field(default=None, compare=False, repr=False)
+    _fields = ("alpha", "enabled_kinds", "class_count", "value_count", "kind_total", "vocabulary")
+
+    def __init__(
+        self,
+        alpha: float,
+        enabled_kinds: tuple[FeatureKind, ...],
+        class_count: dict[str, int],
+        value_count: dict[str, dict[FeatureKind, dict[str, int]]],
+        kind_total: dict[str, dict[FeatureKind, int]],
+        vocabulary: dict[FeatureKind, set[str]],
+        config: dict | None = None,
+    ) -> None:
+        self.alpha = alpha
+        self.enabled_kinds = enabled_kinds
+        self.class_count = class_count
+        self.value_count = value_count
+        self.kind_total = kind_total
+        self.vocabulary = vocabulary
+        # The config echo of the file the model was loaded from, if it has one;
+        # saving writes it back unless given another. Not part of the counts: it
+        # takes no part in ``==`` or ``repr``.
+        self.config = config
 
     @property
     def classes(self) -> list[str]:

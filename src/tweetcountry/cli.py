@@ -61,7 +61,16 @@ from .geocode import (
     load_gazetteer,
     load_reverse_points,
 )
-from .tweet_model import TweetRecord, label_of, parse_tweet, read_ndjson, table_lines, to_flat_dict
+from .tweet_model import (
+    TweetRecord,
+    integer,
+    label_of,
+    number,
+    parse_tweet,
+    read_ndjson,
+    table_lines,
+    to_flat_dict,
+)
 
 log = logging.getLogger(__name__)
 
@@ -85,7 +94,8 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# Config file keys: parser applied to file values, and the built-in default.
+# Config file keys: parser of file values, which the key's flag takes too if it
+# takes a value, and the built-in default.
 CONFIG_FIELDS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "input": (str, None),
     "output": (str, None),
@@ -94,31 +104,32 @@ CONFIG_FIELDS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "report_json": (str, None),
     "report_csv": (str, None),
     "kinds": (str, _ALL_KINDS_LABEL),
-    "alpha": (float, 1.0),
-    "k": (int, 10),
-    "seed": (int, 0),
+    "alpha": (number, 1.0),
+    "k": (integer, 10),
+    "seed": (integer, 0),
     "fold_orientation": (str, "standard"),
     "uniform_priors": (_parse_bool, False),
     "case_fold": (_parse_bool, True),
     "strict": (_parse_bool, False),
-    "min_count": (int, DEFAULT_MIN_COUNT),
+    "min_count": (integer, DEFAULT_MIN_COUNT),
     "region_file": (str, None),
     "region_name": (str, "Europe"),
     "preset": (str, None),
     "subsets": (str, None),
     "kind_sets": (str, None),
-    "top": (int, 3),
+    "top": (integer, 3),
     "gazetteer": (str, None),
     "reverse_points": (str, None),
     "cache": (str, None),
     "remote_backend": (str, "none"),
-    "max_in_flight": (int, 1),
+    "max_in_flight": (integer, 1),
 }
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a line table (``table_lines``) of ``key = value`` lines."""
-    values: dict[str, str] = {}
+def parse_config_file(path: str | Path) -> dict[str, Any]:
+    """Read a line table (``table_lines``) of ``key = value`` lines, each
+    value parsed by its key's parser."""
+    values: dict[str, Any] = {}
     for where, raw in table_lines(Path(path).read_bytes(), str(path)):
         line = raw.strip()
         if "=" not in line:
@@ -127,7 +138,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key = key.strip()
         if key not in CONFIG_FIELDS:
             raise ValueError(f"{where}: unknown config key {key!r}")
-        values[key] = value.strip()
+        try:
+            values[key] = CONFIG_FIELDS[key][0](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return values
 
 
@@ -139,12 +153,12 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     """
     file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
     resolved: dict[str, Any] = {}
-    for name, (parse, default) in CONFIG_FIELDS.items():
+    for name, (_, default) in CONFIG_FIELDS.items():
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             resolved[name] = flag_value
         elif name in file_values:
-            resolved[name] = parse(file_values[name])
+            resolved[name] = file_values[name]
         else:
             resolved[name] = default
     if resolved["fold_orientation"] not in ("standard", "inverted"):
@@ -437,7 +451,7 @@ def _add_geocoder_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-in-flight",
         dest="max_in_flight",
-        type=int,
+        type=integer,
         help="max concurrent remote lookups (default: 1)",
     )
 
@@ -447,7 +461,7 @@ def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
         "--kinds",
         help="feature kinds to use, e.g. location+timezone (default: all six)",
     )
-    parser.add_argument("--alpha", type=float, help="smoothing strength (default: 1.0)")
+    parser.add_argument("--alpha", type=number, help="smoothing strength (default: 1.0)")
     _add_case_fold_flag(parser)
 
 
@@ -462,8 +476,8 @@ def _add_case_fold_flag(parser: argparse.ArgumentParser, default: str = "on") ->
 
 
 def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, help="fold count (default: 10)")
-    parser.add_argument("--seed", type=int, help="fold shuffle seed (default: 0)")
+    parser.add_argument("--k", type=integer, help="fold count (default: 10)")
+    parser.add_argument("--seed", type=integer, help="fold shuffle seed (default: 0)")
     parser.add_argument(
         "--fold-orientation",
         dest="fold_orientation",
@@ -521,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify_p.add_argument("--input", help="raw tweet NDJSON")
     classify_p.add_argument("--output", help="predictions NDJSON to write")
     classify_p.add_argument("--model", help="model JSON to read")
-    classify_p.add_argument("--top", type=int, help="ranked candidates per tweet (default: 3)")
+    classify_p.add_argument("--top", type=integer, help="ranked candidates per tweet (default: 3)")
     classify_p.add_argument(
         "--strict",
         action=argparse.BooleanOptionalAction,
@@ -571,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="kind_sets",
         help="semicolon-separated kind sets, one accuracy column each",
     )
-    report_p.add_argument("--min-count", dest="min_count", type=int, help="row cutoff (default: 15)")
+    report_p.add_argument("--min-count", dest="min_count", type=integer, help="row cutoff (default: 15)")
     report_p.add_argument("--region-file", dest="region_file", help="region codes file (default: bundled Europe)")
     report_p.add_argument("--region-name", dest="region_name", help="label for the region row")
     _add_config_flag(report_p)

@@ -15,10 +15,9 @@ import hashlib
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .atomic import write_json_atomic, write_text_atomic
 from .bayes import NaiveBayesModel, classify, train
@@ -38,6 +37,7 @@ from .features import (
 from .tweet_model import (
     OTHER_LABEL,
     TweetRecord,
+    ValueClass,
     bundled_data,
     decode_object,
     is_country_code,
@@ -107,17 +107,17 @@ def fraction_json(value: Fraction) -> dict:
     }
 
 
-@dataclass
-class LabeledDataset:
+class LabeledDataset(ValueClass):
     """Tweets paired with ground-truth countries, plus a source tag for echoes."""
 
-    examples: list[tuple[TweetRecord, str]]
-    source: str = ""
+    _fields = ("examples", "source")
 
-    def __post_init__(self) -> None:
-        for _, label in self.examples:
+    def __init__(self, examples: list[tuple[TweetRecord, str]], source: str = "") -> None:
+        for _, label in examples:
             if not is_country_code(label):
                 raise ValueError(f"invalid country label {label!r}")
+        self.examples = examples
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -167,8 +167,7 @@ def accuracy(predictions: Iterable[tuple[str, str]]) -> Fraction:
     return Fraction(correct, len(pairs))
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
+class FoldAssignment(NamedTuple):
     """Deterministic example-to-fold map for one (n, k, seed) triple."""
 
     n: int
@@ -202,8 +201,7 @@ def kfold_split(n: int, k: int, seed: int) -> FoldAssignment:
     return FoldAssignment(n=n, k=k, seed=seed, folds=tuple(folds))
 
 
-@dataclass
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """Cross-validation outcome: pooled accuracy, per-fold accuracies, confusion."""
 
     kinds: tuple[FeatureKind, ...]
@@ -213,7 +211,7 @@ class EvaluationReport:
     fold_sizes: tuple[int, ...]
     confusion: dict[str, dict[str, int]]
     n_evaluated: int
-    config: dict = field(default_factory=dict)
+    config: dict
 
     @property
     def config_sha256(self) -> str:
@@ -312,8 +310,7 @@ def cross_validate(
     )[0].report
 
 
-@dataclass
-class AblationRow:
+class AblationRow(NamedTuple):
     kinds: tuple[FeatureKind, ...]
     report: EvaluationReport
 
@@ -453,15 +450,13 @@ def default_region() -> frozenset[str]:
     return _parse_region(bundled_data("europe.txt"), "bundled:europe.txt")
 
 
-@dataclass
-class CountryRow:
+class CountryRow(NamedTuple):
     country: str
     n: int
     accuracies: tuple[Fraction, ...]
 
 
-@dataclass
-class PerCountryReport:
+class PerCountryReport(ValueClass):
     """Accuracy per country for several feature sets, with summary rows.
 
     Countries with fewer than min_count evaluation tweets are omitted from
@@ -469,17 +464,36 @@ class PerCountryReport:
     more training, with every label outside the region collapsed.
     """
 
-    kind_sets: tuple[tuple[FeatureKind, ...], ...]
-    rows: tuple[CountryRow, ...]
-    average: tuple[float, ...]
-    stddev: tuple[float, ...]
-    region_name: str
-    region_accuracies: tuple[Fraction, ...]
-    region_n: int
-    min_count: int
-    omitted_countries: int
-    mode: str
-    config: dict = field(default_factory=dict)
+    _fields = (
+        "kind_sets", "rows", "average", "stddev", "region_name", "region_accuracies",
+        "region_n", "min_count", "omitted_countries", "mode", "config",
+    )
+
+    def __init__(
+        self,
+        kind_sets: tuple[tuple[FeatureKind, ...], ...],
+        rows: tuple[CountryRow, ...],
+        average: tuple[float, ...],
+        stddev: tuple[float, ...],
+        region_name: str,
+        region_accuracies: tuple[Fraction, ...],
+        region_n: int,
+        min_count: int,
+        omitted_countries: int,
+        mode: str,
+        config: dict | None = None,
+    ) -> None:
+        self.kind_sets = kind_sets
+        self.rows = rows
+        self.average = average
+        self.stddev = stddev
+        self.region_name = region_name
+        self.region_accuracies = region_accuracies
+        self.region_n = region_n
+        self.min_count = min_count
+        self.omitted_countries = omitted_countries
+        self.mode = mode
+        self.config = {} if config is None else config
 
     @property
     def config_sha256(self) -> str:

@@ -12,15 +12,14 @@ import math
 import os
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 from .atomic import write_text_atomic
 from .errors import ConflictingEntry, InvalidQuery
 from .features import normalize_place
-from .tweet_model import OTHER_LABEL, bundled_data, is_country_code, table_lines
+from .tweet_model import OTHER_LABEL, bundled_data, is_country_code, number, table_lines
 
 log = logging.getLogger(__name__)
 
@@ -135,8 +134,7 @@ def default_gazetteer() -> Gazetteer:
     return parse_gazetteer(bundled_data("gazetteer.tsv"), "bundled:gazetteer.tsv")
 
 
-@dataclass(frozen=True)
-class CacheEntry:
+class CacheEntry(NamedTuple):
     country: str | None  # None is a cached negative
     source: str
     timestamp: str
@@ -288,8 +286,7 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
-@dataclass(frozen=True)
-class ReferencePoint:
+class ReferencePoint(NamedTuple):
     lat: float
     lon: float
     country: str
@@ -347,7 +344,7 @@ def parse_reverse_points(source: bytes | Iterable[str], provenance: str) -> list
         if len(fields) != 4:
             raise ValueError(f"{where}: expected lat, lon, alpha2, name")
         try:
-            lat, lon = float(fields[0]), float(fields[1])
+            lat, lon = number(fields[0]), number(fields[1])
         except ValueError:
             raise ValueError(f"{where}: coordinates must be numbers") from None
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):

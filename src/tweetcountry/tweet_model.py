@@ -11,9 +11,9 @@ carries both spellings of a field, the flattened key wins.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from collections import namedtuple
 from collections.abc import Mapping
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator
@@ -50,52 +50,108 @@ def is_country_code(value: Any) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TweetRecord:
+class ValueClass:
+    """Base of the value classes that keep their fields as attributes.
+
+    ``==`` and ``repr`` cover the attributes named in ``_fields``, in that
+    order: an instance equals only an instance of the very same class whose
+    fields compare equal as a tuple, and it is unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+_TweetFields = namedtuple(
+    "_TweetFields",
+    "id text user_location time_zone utc_offset_seconds tweet_language user_language"
+    " longitude latitude place_country_code",
+)
+
+
+class TweetRecord(_TweetFields):
     """One tweet's classification-relevant metadata.
 
     Absent fields are None; empty strings never survive parsing. Latitude and
     longitude are either both present or both absent.
+
+    An immutable tuple of its fields. A record equals only another record,
+    never a plain tuple, and hashes as the tuple of its fields.
     """
 
-    id: str = ""
-    text: str = ""
-    user_location: str | None = None
-    time_zone: str | None = None
-    utc_offset_seconds: int | None = None
-    tweet_language: str | None = None
-    user_language: str | None = None
-    longitude: float | None = None
-    latitude: float | None = None
-    place_country_code: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        longitude, latitude = self.longitude, self.latitude
+    def __new__(
+        cls,
+        id: str = "",
+        text: str = "",
+        user_location: str | None = None,
+        time_zone: str | None = None,
+        utc_offset_seconds: int | None = None,
+        tweet_language: str | None = None,
+        user_language: str | None = None,
+        longitude: float | None = None,
+        latitude: float | None = None,
+        place_country_code: str | None = None,
+    ) -> TweetRecord:
         if (longitude is None) != (latitude is None):
             raise MalformedInput("longitude and latitude must be given together")
         if latitude is not None and not -90.0 <= latitude <= 90.0:
             raise MalformedInput(f"latitude out of range: {_shown(latitude)}")
         if longitude is not None and not -180.0 <= longitude <= 180.0:
             raise MalformedInput(f"longitude out of range: {_shown(longitude)}")
-        offset = self.utc_offset_seconds
+        offset = utc_offset_seconds
         if offset is not None and not -UTC_OFFSET_LIMIT <= offset <= UTC_OFFSET_LIMIT:
             raise MalformedInput(f"utc offset out of range: {_shown(offset)}")
-        tweet_language, user_language = self.tweet_language, self.user_language
         if tweet_language is not None and tweet_language != tweet_language.lower():
             raise MalformedInput(f"tweet_language must be lowercase: {tweet_language!r}")
         if user_language is not None and user_language != user_language.lower():
             raise MalformedInput(f"user_language must be lowercase: {user_language!r}")
-        code = self.place_country_code
+        code = place_country_code
         if code is not None and not is_country_code(code):
             raise MalformedInput(f"invalid place country code: {code!r}")
         for name, value in (
-            ("user_location", self.user_location),
-            ("time_zone", self.time_zone),
+            ("user_location", user_location),
+            ("time_zone", time_zone),
             ("tweet_language", tweet_language),
             ("user_language", user_language),
         ):
             if value == "":
                 raise MalformedInput(f"{name} must be absent rather than empty")
+        return tuple.__new__(
+            cls,
+            (id, text, user_location, time_zone, utc_offset_seconds, tweet_language,
+             user_language, longitude, latitude, place_country_code),
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> TweetRecord:
+        # namedtuple's own _make, which _replace calls, skips the checks above.
+        return cls(*iterable)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # Any other tuple is unequal; other objects may still answer.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    # object.__ne__ inverts __eq__ above; tuple.__ne__ would compare items.
+    __ne__ = object.__ne__
+    # Defining __eq__ would drop the hash; keep the tuple's.
+    __hash__ = tuple.__hash__
 
     @property
     def has_coordinates(self) -> bool:
@@ -345,9 +401,30 @@ def table_lines(source: bytes | Iterable[str], name: str) -> Iterator[tuple[str,
             yield f"{name}:{lineno}", line
 
 
+def integer(text: str) -> int:
+    """int(text), except that "_" between digits, which int() accepts, is
+    rejected: in a file or a flag it is more likely a typo than a separator."""
+    if "_" in text:
+        raise ValueError(f"invalid integer: {text!r}")
+    return int(text)
+
+
+def number(text: str) -> float:
+    """float(text), except that "_" between digits, which float() accepts, is
+    rejected, as in ``integer``."""
+    if "_" in text:
+        raise ValueError(f"invalid number: {text!r}")
+    return float(text)
+
+
 def bundled_data(name: str) -> bytes:
-    """The bytes of a data file shipped in the package's data directory."""
-    return resources.files(__package__).joinpath("data", name).read_bytes()
+    """The bytes of a data file shipped in the package's data directory.
+
+    Read through the package's loader, which reads a directory or a zip
+    archive alike; importlib.resources would do the same, but it imports
+    inspect on Python 3.12 and later.
+    """
+    return __loader__.get_data(os.path.join(os.path.dirname(__file__), "data", name))
 
 
 def to_flat_dict(tweet: TweetRecord) -> dict[str, Any]:

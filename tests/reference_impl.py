@@ -7,12 +7,20 @@ behaviour, so property tests can check that the tuned code returns the same
 records, vectors and models and raises the same errors with the same
 messages, in the same order. They are test oracles only; nothing in the
 package imports them.
+
+The value classes the package once built with ``@dataclass`` are kept here
+too, as their dataclass twins (fields and construction checks; their other
+methods did not come from the decorator), so tests can check that the plain
+classes that replaced them give the same repr, equality, hashing and
+constructor errors.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Mapping
 
 from tweetcountry.bayes import MODEL_SCHEMA_VERSION, NaiveBayesModel
@@ -24,7 +32,7 @@ from tweetcountry.errors import (
     RemoteUnavailable,
 )
 from tweetcountry.features import FeatureKind, kind_from_name, ordered_kinds
-from tweetcountry.tweet_model import UTC_OFFSET_LIMIT, TweetRecord, is_country_code
+from tweetcountry.tweet_model import UTC_OFFSET_LIMIT, TweetRecord, _shown, is_country_code
 
 _WHITESPACE_RUN = re.compile(r"\s+")
 
@@ -402,3 +410,90 @@ def reference_model_from_dict(document: Any) -> NaiveBayesModel:
         kind_total=kind_total,
         vocabulary=vocabulary,
     )
+
+
+@dataclass(frozen=True, slots=True)
+class TweetRecordTwin:
+    """tweet_model.TweetRecord as a frozen, slotted dataclass."""
+
+    id: str = ""
+    text: str = ""
+    user_location: str | None = None
+    time_zone: str | None = None
+    utc_offset_seconds: int | None = None
+    tweet_language: str | None = None
+    user_language: str | None = None
+    longitude: float | None = None
+    latitude: float | None = None
+    place_country_code: str | None = None
+
+    def __post_init__(self) -> None:
+        longitude, latitude = self.longitude, self.latitude
+        if (longitude is None) != (latitude is None):
+            raise MalformedInput("longitude and latitude must be given together")
+        if latitude is not None and not -90.0 <= latitude <= 90.0:
+            raise MalformedInput(f"latitude out of range: {_shown(latitude)}")
+        if longitude is not None and not -180.0 <= longitude <= 180.0:
+            raise MalformedInput(f"longitude out of range: {_shown(longitude)}")
+        offset = self.utc_offset_seconds
+        if offset is not None and not -UTC_OFFSET_LIMIT <= offset <= UTC_OFFSET_LIMIT:
+            raise MalformedInput(f"utc offset out of range: {_shown(offset)}")
+        tweet_language, user_language = self.tweet_language, self.user_language
+        if tweet_language is not None and tweet_language != tweet_language.lower():
+            raise MalformedInput(f"tweet_language must be lowercase: {tweet_language!r}")
+        if user_language is not None and user_language != user_language.lower():
+            raise MalformedInput(f"user_language must be lowercase: {user_language!r}")
+        code = self.place_country_code
+        if code is not None and not is_country_code(code):
+            raise MalformedInput(f"invalid place country code: {code!r}")
+        for name, value in (
+            ("user_location", self.user_location),
+            ("time_zone", self.time_zone),
+            ("tweet_language", tweet_language),
+            ("user_language", user_language),
+        ):
+            if value == "":
+                raise MalformedInput(f"{name} must be absent rather than empty")
+
+
+@dataclass
+class NaiveBayesModelTwin:
+    """bayes.NaiveBayesModel as a dataclass."""
+
+    alpha: float
+    enabled_kinds: tuple[FeatureKind, ...]
+    class_count: dict[str, int]
+    value_count: dict[str, dict[FeatureKind, dict[str, int]]]
+    kind_total: dict[str, dict[FeatureKind, int]]
+    vocabulary: dict[FeatureKind, set[str]]
+    config: dict | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass
+class LabeledDatasetTwin:
+    """evaluation.LabeledDataset as a dataclass."""
+
+    examples: list[tuple[TweetRecord, str]]
+    source: str = ""
+
+    def __post_init__(self) -> None:
+        for _, label in self.examples:
+            if not is_country_code(label):
+                raise ValueError(f"invalid country label {label!r}")
+
+
+@dataclass
+class PerCountryReportTwin:
+    """evaluation.PerCountryReport as a dataclass."""
+
+    kind_sets: tuple[tuple[FeatureKind, ...], ...]
+    rows: tuple[CountryRow, ...]
+    average: tuple[float, ...]
+    stddev: tuple[float, ...]
+    region_name: str
+    region_accuracies: tuple[Fraction, ...]
+    region_n: int
+    min_count: int
+    omitted_countries: int
+    mode: str
+    config: dict = field(default_factory=dict)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import builtins
 import io
 import json
@@ -16,6 +17,7 @@ import tweetcountry
 from tweetcountry import bayes, cli
 from tweetcountry.bayes import load_model, save_model
 from tweetcountry.cli import (
+    CONFIG_FIELDS,
     EXIT_GEOCODER,
     EXIT_INPUT,
     EXIT_MODEL,
@@ -636,7 +638,61 @@ class TestConfigResolution:
     def test_parse_config_file(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("# comment\n\nalpha = 0.5\nkinds = timezone+location\n", encoding="utf-8")
-        assert parse_config_file(config) == {"alpha": "0.5", "kinds": "timezone+location"}
+        assert parse_config_file(config) == {"alpha": 0.5, "kinds": "timezone+location"}
+
+    @pytest.mark.parametrize(
+        "line", ["k = 1_0", "seed = 1_0", "alpha = 0_5", "min_count = 1_5", "top = 1_0", "max_in_flight = 1_0"]
+    )
+    def test_underscore_in_config_number_is_rejected(self, tmp_path, labeled_file, capsys, line):
+        # int() and float() read "1_0" as 10; in a file it is more likely a typo.
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# numbers\n{line}\n", encoding="utf-8")
+        code = main(["evaluate", "--input", str(labeled_file), "--config", str(config)])
+        assert code == EXIT_INPUT
+        assert f"{config}:2: invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--k", "1_0"],
+            ["evaluate", "--seed", "1_0"],
+            ["evaluate", "--alpha", "0_5"],
+            ["report", "--min-count", "1_5"],
+            ["classify", "--top", "1_0"],
+            ["label", "--max-in-flight", "1_0"],
+        ],
+    )
+    def test_underscore_in_number_flag_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[1]}: invalid" in capsys.readouterr().err
+
+    def test_flags_parse_like_their_config_keys(self):
+        subcommands = next(
+            action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+        )
+        checked = set()
+        for parser in subcommands.choices.values():
+            for action in parser._actions:
+                if action.dest in CONFIG_FIELDS and action.nargs is None:
+                    assert (action.type or str) is CONFIG_FIELDS[action.dest][0], action.dest
+                    checked.add(action.dest)
+        assert {"alpha", "k", "seed", "min_count", "top", "max_in_flight"} <= checked
+
+    def test_underscore_in_reverse_point_is_rejected(self, tmp_path, capsys):
+        points = tmp_path / "points.tsv"
+        points.write_text("52.1\t4.4\tNL\tLeiden\n5_2.1\t4.4\tNL\tLeiden\n", encoding="utf-8")
+        raw = tmp_path / "raw.ndjson"
+        raw.write_text(json.dumps({"id": "1", "lon": 4.4, "lat": 52.1}) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "label", "--input", str(raw), "--output", str(tmp_path / "out.ndjson"),
+                "--reverse-points", str(points),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert f"{points}:2: coordinates must be numbers" in capsys.readouterr().err
 
     def test_kinds_are_canonicalized(self, tmp_path, labeled_file, capsys):
         code = main(
@@ -933,3 +989,47 @@ def test_module_entry_point():
     assert result.returncode == 0
     assert "label" in result.stdout
     assert "evaluate" in result.stdout
+
+
+# Standard-library modules no command imports: dataclasses (with inspect, ast
+# and dis) and secrets each cost milliseconds at every start.
+_UNUSED_MODULES = ("dataclasses", "inspect", "secrets")
+_MODULES_PROBE = (
+    "import sys\n"
+    "from tweetcountry.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    f"print(sorted(set({_UNUSED_MODULES!r}) & set(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["label", "--input", "raw.ndjson", "--output", "labeled-out.ndjson"],
+        ["train", "--input", "labeled.ndjson", "--model", "model-out.json"],
+        ["classify", "--input", "raw.ndjson", "--model", "model.json", "--output", "out.ndjson"],
+        ["evaluate", "--input", "labeled.ndjson", "--k", "2", "--report-json", "e.json"],
+        ["ablate", "--input", "labeled.ndjson", "--k", "2", "--subsets", "timezone", "--report-csv", "a.csv"],
+        ["report", "--input", "labeled.ndjson", "--report-json", "r.json"],
+        ["cache", "stats"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]) if argv[0] == "cache" else argv[0],
+)
+def test_commands_leave_unused_modules_unimported(tmp_path, labeled_file, model_file, command):
+    write_raw_corpus(tmp_path / "raw.ndjson")
+    (tmp_path / "cache.tsv").write_text("paris\tFR\tgazetteer\t2024-01-01\n", encoding="utf-8")
+    # -S keeps site-packages and the .pth hooks there, which may import
+    # anything, out of the run; the package needs only its own directory.
+    env = {**os.environ, "PYTHONPATH": str(Path(tweetcountry.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _MODULES_PROBE, *command, "--cache", "cache.tsv"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "[]"
