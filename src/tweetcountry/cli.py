@@ -12,9 +12,11 @@ Exit codes: 0 success, 2 input or configuration problem, 3 model problem,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
+import stat
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,6 +35,7 @@ from .errors import MalformedInput, ResolverFailure, TweetCountryError
 from .evaluation import (
     ABLATION_PRESETS,
     DEFAULT_MIN_COUNT,
+    FOLD_ORIENTATIONS,
     REPORT_KIND_SETS,
     ablate,
     config_digest,
@@ -94,35 +97,36 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# Config file keys: parser of file values, which the key's flag takes too if it
-# takes a value, and the built-in default.
-CONFIG_FIELDS: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "input": (str, None),
-    "output": (str, None),
-    "model": (str, None),
-    "eval_input": (str, None),
-    "report_json": (str, None),
-    "report_csv": (str, None),
-    "kinds": (str, _ALL_KINDS_LABEL),
-    "alpha": (number, 1.0),
-    "k": (integer, 10),
-    "seed": (integer, 0),
-    "fold_orientation": (str, "standard"),
-    "uniform_priors": (_parse_bool, False),
-    "case_fold": (_parse_bool, True),
-    "strict": (_parse_bool, False),
-    "min_count": (integer, DEFAULT_MIN_COUNT),
-    "region_file": (str, None),
-    "region_name": (str, "Europe"),
-    "preset": (str, None),
-    "subsets": (str, None),
-    "kind_sets": (str, None),
-    "top": (integer, 3),
-    "gazetteer": (str, None),
-    "reverse_points": (str, None),
-    "cache": (str, None),
-    "remote_backend": (str, "none"),
-    "max_in_flight": (integer, 1),
+# Config file keys: the parser of file values, which the key's flag takes too
+# if it takes a value; the built-in default; and the flag's help text, unless
+# the command's row in COMMANDS gives its own.
+CONFIG_FIELDS: dict[str, tuple[Callable[[str], Any], Any, str]] = {
+    "input": (str, None, "labeled NDJSON"),
+    "output": (str, None, "labeled NDJSON to write"),
+    "model": (str, None, "model JSON to write"),
+    "eval_input": (str, None, "labeled NDJSON to score (default: score the training file)"),
+    "report_json": (str, None, "write the JSON report here"),
+    "report_csv": (str, None, "write the CSV report here"),
+    "kinds": (str, _ALL_KINDS_LABEL, "feature kinds to use, e.g. location+timezone (default: all six)"),
+    "alpha": (number, 1.0, "smoothing strength (default: 1.0)"),
+    "k": (integer, 10, "fold count (default: 10)"),
+    "seed": (integer, 0, "fold shuffle seed (default: 0)"),
+    "fold_orientation": (str, "standard", "train on k-1 folds (standard) or on 1 fold (inverted)"),
+    "uniform_priors": (_parse_bool, False, "score with equal class priors (default: off)"),
+    "case_fold": (_parse_bool, True, "case-fold location and timezone values (default: on)"),
+    "strict": (_parse_bool, False, "abort on the first malformed or unresolvable record"),
+    "min_count": (integer, DEFAULT_MIN_COUNT, "row cutoff (default: 15)"),
+    "region_file": (str, None, "region codes file (default: bundled Europe)"),
+    "region_name": (str, "Europe", "label for the region row"),
+    "preset": (str, None, "named subset grid (table1)"),
+    "subsets": (str, None, "semicolon-separated kind sets, e.g. 'location;location+timezone'"),
+    "kind_sets": (str, None, "semicolon-separated kind sets, one accuracy column each"),
+    "top": (integer, 3, "ranked candidates per tweet (default: 3)"),
+    "gazetteer": (str, None, "gazetteer TSV (default: bundled)"),
+    "reverse_points": (str, None, "reverse lookup points TSV (default: bundled)"),
+    "cache": (str, None, "persistent geocode cache TSV (default: in-memory)"),
+    "remote_backend": (str, "none", "registered remote geocoder name (default: none)"),
+    "max_in_flight": (integer, 1, "max concurrent remote lookups (default: 1)"),
 }
 
 
@@ -153,7 +157,7 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     """
     file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
     resolved: dict[str, Any] = {}
-    for name, (_, default) in CONFIG_FIELDS.items():
+    for name, (_, default, _) in CONFIG_FIELDS.items():
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             resolved[name] = flag_value
@@ -161,8 +165,10 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
             resolved[name] = file_values[name]
         else:
             resolved[name] = default
-    if resolved["fold_orientation"] not in ("standard", "inverted"):
-        raise ValueError(f"fold_orientation must be standard or inverted, got {resolved['fold_orientation']!r}")
+    if resolved["fold_orientation"] not in FOLD_ORIENTATIONS:
+        raise ValueError(
+            f"fold_orientation must be {' or '.join(FOLD_ORIENTATIONS)}, got {resolved['fold_orientation']!r}"
+        )
     if resolved["top"] < 1:
         raise ValueError("top must be at least 1")
     # Checked here as well as in train, so a bad value fails before any input is read.
@@ -203,13 +209,29 @@ def _require_paths(cfg: SimpleNamespace, *names: str) -> None:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _check_target(path: str) -> None:
+    """Raise OSError naming path unless its directory exists and path is not
+    a directory."""
+    try:
+        target = Path(path).resolve()
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(target.parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def _write_reports(cfg: SimpleNamespace, report, write_json, write_csv) -> dict:
     """Write the report to --report-json and --report-csv, each if given, and
-    return both paths for the summary."""
-    if cfg.report_json:
-        write_json(report, cfg.report_json)
-    if cfg.report_csv:
-        write_csv(report, cfg.report_csv)
+    return both paths for the summary. Both targets are checked before the
+    first is written."""
+    targets = ((cfg.report_json, write_json), (cfg.report_csv, write_csv))
+    writes = [(path, write) for path, write in targets if path]
+    for path, _ in writes:
+        _check_target(path)
+    for path, write in writes:
+        write(report, path)
     return {"report_json": cfg.report_json, "report_csv": cfg.report_csv}
 
 
@@ -433,74 +455,61 @@ def cmd_cache_compact(cfg: SimpleNamespace) -> dict:
     return {"path": cfg.cache, "entries": GeocodeCache(cfg.cache).compact()}
 
 
-def _add_config_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file of key = value lines; flags win")
+_GEOCODER = ("gazetteer", "reverse_points", "cache", "remote_backend", "max_in_flight")
+_FEATURES = ("kinds", "alpha", "case_fold")
+_EVALUATION = ("k", "seed", "fold_orientation", "uniform_priors", "report_json", "report_csv")
+_CONFIG_HELP = "config file of key = value lines; flags win"
 
-
-def _add_geocoder_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gazetteer", help="gazetteer TSV (default: bundled)")
-    parser.add_argument(
-        "--reverse-points", dest="reverse_points", help="reverse lookup points TSV (default: bundled)"
-    )
-    parser.add_argument("--cache", help="persistent geocode cache TSV (default: in-memory)")
-    parser.add_argument(
-        "--remote-backend",
-        dest="remote_backend",
-        help="registered remote geocoder name (default: none)",
-    )
-    parser.add_argument(
-        "--max-in-flight",
-        dest="max_in_flight",
-        type=integer,
-        help="max concurrent remote lookups (default: 1)",
-    )
-
-
-def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kinds",
-        help="feature kinds to use, e.g. location+timezone (default: all six)",
-    )
-    parser.add_argument("--alpha", type=number, help="smoothing strength (default: 1.0)")
-    _add_case_fold_flag(parser)
-
-
-def _add_case_fold_flag(parser: argparse.ArgumentParser, default: str = "on") -> None:
-    parser.add_argument(
-        "--case-fold",
-        dest="case_fold",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=f"case-fold location and timezone values (default: {default})",
-    )
-
-
-def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=integer, help="fold count (default: 10)")
-    parser.add_argument("--seed", type=integer, help="fold shuffle seed (default: 0)")
-    parser.add_argument(
-        "--fold-orientation",
-        dest="fold_orientation",
-        choices=("standard", "inverted"),
-        help="train on k-1 folds (standard) or on 1 fold (inverted)",
-    )
-    _add_uniform_priors_flag(parser)
-    _add_report_flags(parser)
-
-
-def _add_uniform_priors_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--uniform-priors",
-        dest="uniform_priors",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="score with equal class priors (default: off)",
-    )
-
-
-def _add_report_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--report-json", dest="report_json", help="write the JSON report here")
-    parser.add_argument("--report-csv", dest="report_csv", help="write the CSV report here")
+# Each (sub)command: the name of its handler in this module (None for a group
+# of actions), help, option keys in --help order ("config" is --config), and
+# the help texts it gives those options in place of CONFIG_FIELDS'. Kinds and
+# alpha come from the model, so classify takes neither flag.
+COMMANDS: dict[str, tuple[str | None, str | None, tuple[str, ...], dict[str, str]]] = {
+    "label": (
+        "cmd_label",
+        "derive ground-truth countries from geo info",
+        ("input", "output", "strict", "config", *_GEOCODER),
+        {"input": "raw tweet NDJSON"},
+    ),
+    "train": (
+        "cmd_train", "fit a model on labeled records", ("input", "model", "config", *_GEOCODER, *_FEATURES), {}
+    ),
+    "classify": (
+        "cmd_classify",
+        "predict countries for raw tweets",
+        ("input", "output", "model", "top", "strict", "uniform_priors", "config", *_GEOCODER, "case_fold"),
+        {
+            "input": "raw tweet NDJSON",
+            "output": "predictions NDJSON to write",
+            "model": "model JSON to read",
+            "strict": "abort on the first malformed record",
+            "case_fold": "case-fold location and timezone values (default: the setting recorded in "
+            "the model; if it records none, the config file's, else on)",
+        },
+    ),
+    "evaluate": (
+        "cmd_evaluate",
+        "seeded k-fold cross-validation",
+        ("input", "config", *_GEOCODER, *_FEATURES, *_EVALUATION),
+        {},
+    ),
+    "ablate": (
+        "cmd_ablate",
+        "cross-validate a grid of feature subsets",
+        ("input", "preset", "subsets", "config", *_GEOCODER, *_FEATURES, *_EVALUATION),
+        {},
+    ),
+    "report": (
+        "cmd_report",
+        "per-country accuracy table",
+        ("input", "eval_input", "kind_sets", "min_count", "region_file", "region_name", "config",
+         *_GEOCODER, *_FEATURES, "uniform_priors", "report_json", "report_csv"),
+        {"input": "labeled NDJSON used for training"},
+    ),
+    "cache": (None, "inspect or compact a geocode cache", (), {}),
+    "cache stats": ("cmd_cache_stats", None, ("cache", "config"), {"cache": "cache TSV file"}),
+    "cache compact": ("cmd_cache_compact", None, ("cache", "config"), {"cache": "cache TSV file"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,102 +517,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tweetcountry",
         description="Infer a tweet's home country from its metadata.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    label = commands.add_parser("label", help="derive ground-truth countries from geo info")
-    label.add_argument("--input", help="raw tweet NDJSON")
-    label.add_argument("--output", help="labeled NDJSON to write")
-    label.add_argument(
-        "--strict",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="abort on the first malformed or unresolvable record",
-    )
-    _add_config_flag(label)
-    _add_geocoder_flags(label)
-    label.set_defaults(handler=cmd_label)
-
-    train_p = commands.add_parser("train", help="fit a model on labeled records")
-    train_p.add_argument("--input", help="labeled NDJSON")
-    train_p.add_argument("--model", help="model JSON to write")
-    _add_config_flag(train_p)
-    _add_geocoder_flags(train_p)
-    _add_feature_flags(train_p)
-    train_p.set_defaults(handler=cmd_train)
-
-    classify_p = commands.add_parser("classify", help="predict countries for raw tweets")
-    classify_p.add_argument("--input", help="raw tweet NDJSON")
-    classify_p.add_argument("--output", help="predictions NDJSON to write")
-    classify_p.add_argument("--model", help="model JSON to read")
-    classify_p.add_argument("--top", type=integer, help="ranked candidates per tweet (default: 3)")
-    classify_p.add_argument(
-        "--strict",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="abort on the first malformed record",
-    )
-    _add_uniform_priors_flag(classify_p)
-    _add_config_flag(classify_p)
-    _add_geocoder_flags(classify_p)
-    # Kinds and alpha come from the model, so classify takes neither flag.
-    _add_case_fold_flag(
-        classify_p,
-        default="the setting recorded in the model; if it records none, the config file's, else on",
-    )
-    classify_p.set_defaults(handler=cmd_classify)
-
-    evaluate_p = commands.add_parser("evaluate", help="seeded k-fold cross-validation")
-    evaluate_p.add_argument("--input", help="labeled NDJSON")
-    _add_config_flag(evaluate_p)
-    _add_geocoder_flags(evaluate_p)
-    _add_feature_flags(evaluate_p)
-    _add_eval_flags(evaluate_p)
-    evaluate_p.set_defaults(handler=cmd_evaluate)
-
-    ablate_p = commands.add_parser("ablate", help="cross-validate a grid of feature subsets")
-    ablate_p.add_argument("--input", help="labeled NDJSON")
-    ablate_p.add_argument("--preset", help="named subset grid (table1)")
-    ablate_p.add_argument(
-        "--subsets",
-        help="semicolon-separated kind sets, e.g. 'location;location+timezone'",
-    )
-    _add_config_flag(ablate_p)
-    _add_geocoder_flags(ablate_p)
-    _add_feature_flags(ablate_p)
-    _add_eval_flags(ablate_p)
-    ablate_p.set_defaults(handler=cmd_ablate)
-
-    report_p = commands.add_parser("report", help="per-country accuracy table")
-    report_p.add_argument("--input", help="labeled NDJSON used for training")
-    report_p.add_argument(
-        "--eval-input",
-        dest="eval_input",
-        help="labeled NDJSON to score (default: score the training file)",
-    )
-    report_p.add_argument(
-        "--kind-sets",
-        dest="kind_sets",
-        help="semicolon-separated kind sets, one accuracy column each",
-    )
-    report_p.add_argument("--min-count", dest="min_count", type=integer, help="row cutoff (default: 15)")
-    report_p.add_argument("--region-file", dest="region_file", help="region codes file (default: bundled Europe)")
-    report_p.add_argument("--region-name", dest="region_name", help="label for the region row")
-    _add_config_flag(report_p)
-    _add_geocoder_flags(report_p)
-    _add_feature_flags(report_p)
-    _add_uniform_priors_flag(report_p)
-    _add_report_flags(report_p)
-    report_p.set_defaults(handler=cmd_report)
-
-    cache_p = commands.add_parser("cache", help="inspect or compact a geocode cache")
-    cache_actions = cache_p.add_subparsers(dest="cache_action", required=True)
-    for action, handler in (("stats", cmd_cache_stats), ("compact", cmd_cache_compact)):
-        action_p = cache_actions.add_parser(action)
-        action_p.add_argument("--cache", help="cache TSV file")
-        _add_config_flag(action_p)
-        # Replaces the "cache" the parent parser stored, so the summary names the action.
-        action_p.set_defaults(handler=handler, command=f"cache {action}")
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (handler, help_text, keys, helps) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        command = groups[group].add_parser(leaf, **({"help": help_text} if help_text else {}))
+        if handler is None:
+            groups[name] = command.add_subparsers(dest=f"{name}_action", required=True)
+            continue
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            if key == "config":
+                command.add_argument(flag, help=_CONFIG_HELP)
+                continue
+            parse, _, shared_help = CONFIG_FIELDS[key]
+            options: dict[str, Any] = {"help": helps.get(key, shared_help)}
+            if parse is _parse_bool:
+                options["action"] = argparse.BooleanOptionalAction
+            elif parse is not str:
+                options["type"] = parse
+            if key == "fold_orientation":
+                options["choices"] = FOLD_ORIENTATIONS
+            command.add_argument(flag, **options)
+        # The handler is looked up now, not at import, so a wrapper set on
+        # this module (a tracer's span) is the one called. For a group's
+        # action, command replaces the group name the parent parser stored,
+        # so the summary names the action.
+        command.set_defaults(handler=globals()[handler], command=name)
     return parser
 
 

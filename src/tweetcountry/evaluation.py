@@ -48,6 +48,9 @@ from .tweet_model import (
 
 DEFAULT_MIN_COUNT = 15
 
+# How a fold splits the data: train on the other k-1 folds, or on this one.
+FOLD_ORIENTATIONS = ("standard", "inverted")
+
 LIMITED_INFORMATION = "LIMITED_INFORMATION"
 BIG_CLASS = "BIG_CLASS"
 OOV_ONLY = "OOV_ONLY"
@@ -342,7 +345,7 @@ def ablate(
     subset_list = [ordered_kinds(subset) for subset in subsets]
     if not subset_list:
         raise ValueError("no feature subsets given")
-    if orientation not in ("standard", "inverted"):
+    if orientation not in FOLD_ORIENTATIONS:
         raise ValueError(f"unknown fold orientation {orientation!r}")
     if not data.examples:
         raise EmptyEvaluationSet("dataset has no examples")
@@ -737,11 +740,20 @@ def write_per_country_json(report: PerCountryReport, path: str | Path) -> None:
     write_json_atomic(path, report.to_json_dict())
 
 
+def _csv_cell(text: str) -> str:
+    """text as one RFC 4180 cell: in double quotes, each inner quote doubled,
+    when it holds a comma, quote or line break."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_per_country_csv(report: PerCountryReport, path: str | Path) -> None:
     """Country rows sorted by size, then Average, Standard deviation, region.
 
     Accuracy cells are percentages with two decimals; summary cells are
-    computed from the exact values before rounding.
+    computed from the exact values before rounding. The region name is the
+    only free-text cell, so it is the only one quoted.
     """
     lines = [f"# config_sha256={report.config_sha256}"]
     lines.append(",".join(["country", "n"] + report.column_labels()))
@@ -755,7 +767,7 @@ def write_per_country_csv(report: PerCountryReport, path: str | Path) -> None:
     )
     lines.append(
         ",".join(
-            [report.region_name, str(report.region_n)]
+            [_csv_cell(report.region_name), str(report.region_n)]
             + [_percent(value) for value in report.region_accuracies]
         )
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import builtins
+import csv
 import io
 import json
 import os
@@ -528,6 +529,46 @@ class TestReport:
         assert summary["countries"] == 0
         assert summary["omitted_countries"] == 5
 
+    @pytest.mark.parametrize("name", ['West, "EU"', "two\nlines", "cr\rhere", "Europe"])
+    def test_region_name_is_one_csv_cell(self, tmp_path, labeled_file, capsys, name):
+        report_csv = tmp_path / "report.csv"
+        region_file = tmp_path / "region.txt"
+        region_file.write_text("AA\nBB\n", encoding="utf-8")
+        code = main(
+            ["report", "--input", str(labeled_file), "--kind-sets", "timezone"]
+            + ["--region-file", str(region_file), "--region-name", name, "--report-csv", str(report_csv)]
+        )
+        assert code == EXIT_OK
+        with report_csv.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[-1] == [name, "100", "100.00"]
+        assert all(len(row) == 3 for row in rows[1:])
+
+
+@pytest.mark.parametrize("old_json", [False, True])
+@pytest.mark.parametrize("bad_csv", ["missing_dir/a.csv", "a_directory"])
+@pytest.mark.parametrize(
+    "command",
+    [["evaluate", "--k", "2"], ["ablate", "--k", "2", "--subsets", "timezone"], ["report"]],
+    ids=lambda argv: argv[0],
+)
+def test_report_targets_are_checked_before_the_first_write(
+    tmp_path, labeled_file, capsys, monkeypatch, command, bad_csv, old_json
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_directory").mkdir()
+    if old_json:
+        (tmp_path / "ok.json").write_bytes(b"old bytes\n")
+    argv = command[:1] + ["--input", str(labeled_file)] + command[1:]
+    code = main(argv + ["--report-json", "ok.json", "--report-csv", bad_csv])
+    assert code == EXIT_INPUT
+    assert bad_csv in capsys.readouterr().err
+    if old_json:
+        assert (tmp_path / "ok.json").read_bytes() == b"old bytes\n"
+    else:
+        assert not (tmp_path / "ok.json").exists()
+    assert list(tmp_path.rglob(".*.tmp")) == []
+
 
 class TestCache:
     def test_stats_and_compact(self, tmp_path, capsys):
@@ -669,16 +710,150 @@ class TestConfigResolution:
         assert f"argument {argv[1]}: invalid" in capsys.readouterr().err
 
     def test_flags_parse_like_their_config_keys(self):
-        subcommands = next(
-            action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)
-        )
+        def walk(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for child in action.choices.values():
+                        yield from walk(child)
+
         checked = set()
-        for parser in subcommands.choices.values():
+        dests = set()
+        for parser in walk(cli.build_parser()):
             for action in parser._actions:
                 if action.dest in CONFIG_FIELDS and action.nargs is None:
                     assert (action.type or str) is CONFIG_FIELDS[action.dest][0], action.dest
                     checked.add(action.dest)
+                names = [name for name in action.option_strings if name not in ("-h", "--help", "--config")]
+                if not names:
+                    continue
+                # A key's flag is --key with - for _, plus --no-key for a switch.
+                flag = "--" + action.dest.replace("_", "-")
+                assert names in ([flag], [flag, "--no-" + flag[2:]]), names
+                assert action.dest in CONFIG_FIELDS, action.dest
+                dests.add(action.dest)
         assert {"alpha", "k", "seed", "min_count", "top", "max_in_flight"} <= checked
+        assert dests == set(CONFIG_FIELDS)
+
+    def test_each_command_lists_its_options_in_order_with_their_help(self):
+        def walk(parser, name=""):
+            yield name, parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for leaf, child in action.choices.items():
+                        yield from walk(child, f"{name} {leaf}".strip())
+
+        def rows(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    yield from ((choice.dest, choice.help) for choice in action._choices_actions)
+                elif action.dest != "help":
+                    yield " ".join(action.option_strings), action.help
+
+        config = [("--config", "config file of key = value lines; flags win")]
+        geocoder = [
+            ("--gazetteer", "gazetteer TSV (default: bundled)"),
+            ("--reverse-points", "reverse lookup points TSV (default: bundled)"),
+            ("--cache", "persistent geocode cache TSV (default: in-memory)"),
+            ("--remote-backend", "registered remote geocoder name (default: none)"),
+            ("--max-in-flight", "max concurrent remote lookups (default: 1)"),
+        ]
+        case_fold = [("--case-fold --no-case-fold", "case-fold location and timezone values (default: on)")]
+        features = [
+            ("--kinds", "feature kinds to use, e.g. location+timezone (default: all six)"),
+            ("--alpha", "smoothing strength (default: 1.0)"),
+            *case_fold,
+        ]
+        priors = [("--uniform-priors --no-uniform-priors", "score with equal class priors (default: off)")]
+        reports = [("--report-json", "write the JSON report here"), ("--report-csv", "write the CSV report here")]
+        evaluation = [
+            ("--k", "fold count (default: 10)"),
+            ("--seed", "fold shuffle seed (default: 0)"),
+            ("--fold-orientation", "train on k-1 folds (standard) or on 1 fold (inverted)"),
+            *priors,
+            *reports,
+        ]
+        cache = [("--cache", "cache TSV file"), *config]
+        expected = {
+            "": [
+                ("label", "derive ground-truth countries from geo info"),
+                ("train", "fit a model on labeled records"),
+                ("classify", "predict countries for raw tweets"),
+                ("evaluate", "seeded k-fold cross-validation"),
+                ("ablate", "cross-validate a grid of feature subsets"),
+                ("report", "per-country accuracy table"),
+                ("cache", "inspect or compact a geocode cache"),
+            ],
+            "label": [
+                ("--input", "raw tweet NDJSON"),
+                ("--output", "labeled NDJSON to write"),
+                ("--strict --no-strict", "abort on the first malformed or unresolvable record"),
+                *config,
+                *geocoder,
+            ],
+            "train": [
+                ("--input", "labeled NDJSON"),
+                ("--model", "model JSON to write"),
+                *config,
+                *geocoder,
+                *features,
+            ],
+            "classify": [
+                ("--input", "raw tweet NDJSON"),
+                ("--output", "predictions NDJSON to write"),
+                ("--model", "model JSON to read"),
+                ("--top", "ranked candidates per tweet (default: 3)"),
+                ("--strict --no-strict", "abort on the first malformed record"),
+                *priors,
+                *config,
+                *geocoder,
+                (
+                    "--case-fold --no-case-fold",
+                    "case-fold location and timezone values (default: the setting recorded in the model; "
+                    "if it records none, the config file's, else on)",
+                ),
+            ],
+            "evaluate": [("--input", "labeled NDJSON"), *config, *geocoder, *features, *evaluation],
+            "ablate": [
+                ("--input", "labeled NDJSON"),
+                ("--preset", "named subset grid (table1)"),
+                ("--subsets", "semicolon-separated kind sets, e.g. 'location;location+timezone'"),
+                *config,
+                *geocoder,
+                *features,
+                *evaluation,
+            ],
+            "report": [
+                ("--input", "labeled NDJSON used for training"),
+                ("--eval-input", "labeled NDJSON to score (default: score the training file)"),
+                ("--kind-sets", "semicolon-separated kind sets, one accuracy column each"),
+                ("--min-count", "row cutoff (default: 15)"),
+                ("--region-file", "region codes file (default: bundled Europe)"),
+                ("--region-name", "label for the region row"),
+                *config,
+                *geocoder,
+                *features,
+                *priors,
+                *reports,
+            ],
+            "cache": [],
+            "cache stats": cache,
+            "cache compact": cache,
+        }
+        assert {name: list(rows(parser)) for name, parser in walk(cli.build_parser())} == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["label"], ["train"], ["classify"], ["evaluate"], ["ablate"], ["report"], ["cache", "stats"], ["cache", "compact"]],
+    )
+    def test_main_calls_the_handler_the_module_holds_when_it_runs(self, monkeypatch, capsys, argv):
+        # A tracer wraps a command by setting the module attribute after import.
+        name = "cmd_" + "_".join(argv)
+        calls = []
+        monkeypatch.setattr(cli, name, lambda cfg: calls.append(cfg) or {"wrapped": True})
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 1
+        assert read_summary(capsys)["wrapped"] is True
 
     def test_underscore_in_reverse_point_is_rejected(self, tmp_path, capsys):
         points = tmp_path / "points.tsv"
