@@ -22,7 +22,6 @@ first N others of the start sum's ranking, which is cached next to it.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import operator
 import sys
@@ -35,8 +34,6 @@ from .atomic import write_json_atomic
 from .errors import CorruptModel, EmptyTrainingSet
 from .features import ALL_KINDS, FeatureKind, FeatureVector, kind_from_name, ordered_kinds
 from .tweet_model import ValueClass, _shown, is_country_code
-
-log = logging.getLogger(__name__)
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -276,7 +273,9 @@ def train(
             totals[kind] = totals.get(kind, 0) + 1
             vocabulary[kind].add(value)
 
-    if ignored:
+    # Without logging loaded, no handler exists that could show the record.
+    if ignored and "logging" in sys.modules:
+        log = sys.modules["logging"].getLogger(__name__)
         log.debug("ignored %d feature entries of disabled kinds", ignored)
     return NaiveBayesModel(
         alpha=float(alpha),

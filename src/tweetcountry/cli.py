@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import logging
 import os
 import stat
 import sys
@@ -22,6 +21,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator
 
+from . import errors
 from .atomic import open_atomic
 from .bayes import (
     load_model,
@@ -74,8 +74,6 @@ from .tweet_model import (
     table_lines,
     to_flat_dict,
 )
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 
@@ -512,17 +510,33 @@ COMMANDS: dict[str, tuple[str | None, str | None, tuple[str, ...], dict[str, str
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every (sub)command. Each one is created, so usage lines
+    and errors name them all, but only the one that argv names (``cache
+    <action>`` included) gets its flags; all do when argv names none.
+    Abbreviated flags are rejected."""
+    words = list(argv or ())[:2]
+    chosen = " ".join(words if words[:1] == ["cache"] else words[:1])
     parser = argparse.ArgumentParser(
         prog="tweetcountry",
         description="Infer a tweet's home country from its metadata.",
+        allow_abbrev=False,
     )
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for name, (handler, help_text, keys, helps) in COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
-        command = groups[group].add_parser(leaf, **({"help": help_text} if help_text else {}))
+        command = groups[group].add_parser(
+            leaf, allow_abbrev=False, **({"help": help_text} if help_text else {})
+        )
         if handler is None:
             groups[name] = command.add_subparsers(dest=f"{name}_action", required=True)
+            continue
+        # The handler is looked up now, not at import, so a wrapper set on
+        # this module (a tracer's span) is the one called. For a group's
+        # action, command replaces the group name the parent parser stored,
+        # so the summary names the action.
+        command.set_defaults(handler=globals()[handler], command=name)
+        if chosen in COMMANDS and name != chosen:
             continue
         for key in keys:
             flag = "--" + key.replace("_", "-")
@@ -538,18 +552,14 @@ def build_parser() -> argparse.ArgumentParser:
             if key == "fold_orientation":
                 options["choices"] = FOLD_ORIENTATIONS
             command.add_argument(flag, **options)
-        # The handler is looked up now, not at import, so a wrapper set on
-        # this module (a tracer's span) is the one called. For a group's
-        # action, command replaces the group name the parent parser stored,
-        # so the summary names the action.
-        command.set_defaults(handler=globals()[handler], command=name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one CLI invocation; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         cfg = resolve_config(args)
         cfg.case_fold_given = getattr(args, "case_fold", None)
@@ -570,5 +580,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_script() -> None:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    # Applied by the first warning, so a run without one never imports logging.
+    errors.warning_format = "%(levelname)s %(name)s: %(message)s"
     sys.exit(main())

@@ -1,9 +1,30 @@
 """Exception types shared across the package, each with the exit code and
-stderr prefix the command line reports it with (0 is success)."""
+stderr prefix the command line reports it with (0 is success), and the one
+way the package logs a warning."""
 
 EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_GEOCODER = 4
+
+# Format of the stderr handler that the first warning installs on the root
+# logger, or None to leave logging as the caller set it up. main_script sets
+# it; like logging's own configuration, it holds for the whole process.
+warning_format: str | None = None
+
+
+def warn(logger: str, message: str, *args) -> None:
+    """Log a WARNING record on the named logger.
+
+    ``logging`` is imported here, at the first warning, so a run that warns
+    about nothing never loads it.
+    """
+    global warning_format
+    import logging
+
+    if warning_format is not None:
+        logging.basicConfig(level=logging.WARNING, format=warning_format)
+        warning_format = None
+    logging.getLogger(logger).warning(message, *args)
 
 
 class TweetCountryError(Exception):

@@ -14,10 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import statistics
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .atomic import write_json_atomic, write_text_atomic
 from .bayes import NaiveBayesModel, classify, train
@@ -45,6 +43,11 @@ from .tweet_model import (
     record_from_dict,
     table_lines,
 )
+
+# statistics and fractions (with decimal) are imported where they are used:
+# label, train and classify never need them.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_MIN_COUNT = 15
 
@@ -163,6 +166,8 @@ def load_labeled_ndjson(path: str | Path) -> LabeledDataset:
 
 def accuracy(predictions: Iterable[tuple[str, str]]) -> Fraction:
     """Exact fraction of (predicted, true) pairs that match."""
+    from fractions import Fraction
+
     pairs = list(predictions)
     if not pairs:
         raise EmptyEvaluationSet("no predictions to score")
@@ -342,6 +347,8 @@ def ablate(
     with the eval vectors restricted to the subset's kinds: the same
     predictions as training on the subset alone, for one training per fold.
     """
+    from fractions import Fraction
+
     subset_list = [ordered_kinds(subset) for subset in subsets]
     if not subset_list:
         raise ValueError("no feature subsets given")
@@ -409,11 +416,15 @@ def ablate(
 
 def summary_average(values: Sequence[float]) -> float:
     """Unweighted mean, as used by the report summary row."""
+    import statistics
+
     return statistics.mean(values)
 
 
 def summary_population_stddev(values: Sequence[float]) -> float:
     """Population standard deviation (divide by N), as used by the summary row."""
+    import statistics
+
     return statistics.pstdev(values)
 
 
@@ -556,6 +567,8 @@ def per_country_report(
     One model over the union of the feature sets serves every column, and
     one more, trained on the collapsed labels, serves the region row.
     """
+    from fractions import Fraction
+
     sets = [ordered_kinds(kinds) for kinds in kind_sets]
     if not sets:
         raise ValueError("no feature kind sets given")

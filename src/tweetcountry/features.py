@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import logging
 import re
 from enum import Enum
 from typing import Any, Callable
 
-from .errors import GeoparserFailure, InvalidQuery, RemoteUnavailable
+from .errors import GeoparserFailure, InvalidQuery, RemoteUnavailable, warn
 from .tweet_model import TweetRecord
-
-log = logging.getLogger(__name__)
 
 _WHITESPACE_RUN = re.compile(r"\s+")
 
@@ -90,7 +87,7 @@ def _geoparsed(tweet: TweetRecord, geoparser, case_fold: bool) -> str | None:
     try:
         return geoparser.forward(tweet.user_location)
     except (GeoparserFailure, InvalidQuery, RemoteUnavailable) as exc:
-        log.warning("geoparse failed for %r: %s", tweet.user_location, exc)
+        warn(__name__, "geoparse failed for %r: %s", tweet.user_location, exc)
         return None
 
 

@@ -7,21 +7,17 @@ never cached. The cache file is append-only TSV, last entry per key wins.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import threading
 from bisect import bisect_left, bisect_right
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, NamedTuple, Protocol
 
 from .atomic import write_text_atomic
-from .errors import ConflictingEntry, InvalidQuery
+from .errors import ConflictingEntry, InvalidQuery, warn
 from .features import normalize_place
 from .tweet_model import OTHER_LABEL, bundled_data, is_country_code, number, table_lines
-
-log = logging.getLogger(__name__)
 
 NEGATIVE_MARK = "-"
 REVERSE_KEY_PREFIX = "reverse:"
@@ -31,6 +27,10 @@ DEFAULT_MAX_DISTANCE_KM = 300.0
 _BAND_MARGIN_DEG = 1e-6
 
 _TOKEN_TRIM = ".,!?;:()[]\"'"
+
+# The datetime module, imported by the first GeocodeCache.put: only cache
+# writes need it.
+_datetime = None
 
 
 class RemoteGeocoder(Protocol):
@@ -211,12 +211,12 @@ class GeocodeCache:
                 except UnicodeDecodeError:
                     fields = []
                 if len(fields) != 4:
-                    log.warning("%s:%d: skipping malformed cache line", self._path, lineno)
+                    warn(__name__, "%s:%d: skipping malformed cache line", self._path, lineno)
                     continue
                 key = _unescape_key(fields[0])
                 outcome = None if fields[1] == NEGATIVE_MARK else fields[1]
                 if outcome is not None and not is_country_code(outcome):
-                    log.warning("%s:%d: skipping invalid outcome %r", self._path, lineno, fields[1])
+                    warn(__name__, "%s:%d: skipping invalid outcome %r", self._path, lineno, fields[1])
                     continue
                 self._entries[key] = CacheEntry(outcome, fields[2], fields[3])
 
@@ -240,7 +240,10 @@ class GeocodeCache:
             raise ValueError("cache key must be non-empty")
         if country is not None and not is_country_code(country):
             raise ValueError(f"invalid cached country {country!r}")
-        entry = CacheEntry(country, source, datetime.now(timezone.utc).isoformat())
+        global _datetime
+        if _datetime is None:
+            import datetime as _datetime
+        entry = CacheEntry(country, source, _datetime.datetime.now(_datetime.timezone.utc).isoformat())
         data = _cache_line(key, entry).encode("utf-8")
         with self._lock:
             self._entries[key] = entry

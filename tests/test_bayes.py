@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import logging
 import math
 import os
 import re
@@ -71,6 +72,13 @@ class TestTrain:
         assert model.enabled_kinds == (K.LOCATION,)
         assert model.vocabulary == {K.LOCATION: set()}
         assert model.class_count == {"NL": 2, "GB": 1}
+
+    def test_disabled_kind_entries_are_logged_at_debug(self, tiny_examples, caplog):
+        caplog.set_level(logging.DEBUG, logger="tweetcountry.bayes")
+        train(tiny_examples, enabled_kinds=(K.LOCATION,))
+        assert [(record.name, record.levelname, record.getMessage()) for record in caplog.records] == [
+            ("tweetcountry.bayes", "DEBUG", "ignored 3 feature entries of disabled kinds")
+        ]
 
     def test_enabled_kinds_canonical_order(self, tiny_examples):
         model = train(tiny_examples, enabled_kinds=(K.USER_LANGUAGE, K.TIMEZONE))

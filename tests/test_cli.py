@@ -59,6 +59,10 @@ def read_summary(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def _command_name(argv):
+    return " ".join(argv[:2]) if argv[0] == "cache" else argv[0]
+
+
 @pytest.fixture
 def labeled_file(tmp_path):
     path = tmp_path / "labeled.ndjson"
@@ -191,6 +195,15 @@ class TestTrain:
             ["train", "--input", str(tmp_path / "absent"), "--model", str(tmp_path / "m")]
         )
         assert code == EXIT_INPUT
+
+    def test_abbreviated_flag_is_rejected(self, tmp_path, labeled_file, capsys):
+        # train has no --k; as an abbreviation it would select --kinds.
+        model_path = tmp_path / "model.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--input", str(labeled_file), "--model", str(model_path), "--k", "location"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --k location" in capsys.readouterr().err
+        assert not model_path.exists()
 
 
 class TestClassify:
@@ -844,6 +857,34 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize(
         "argv",
+        [
+            ["label", "--input", "r", "--output", "o", "--no-strict", "--cache", "c"],
+            ["train", "--input", "l", "--model", "m", "--kinds", "location", "--alpha", "0.5"],
+            ["classify", "--input", "r", "--output", "o", "--model", "m", "--top", "2", "--no-case-fold"],
+            ["evaluate", "--input", "l", "--k", "2", "--fold-orientation", "inverted"],
+            ["ablate", "--input", "l", "--preset", "table1", "--seed", "3", "--config", "f"],
+            ["report", "--input", "l", "--min-count", "1", "--uniform-priors"],
+            ["cache", "stats", "--cache", "c"],
+            ["cache", "compact", "--cache", "c", "--config", "f"],
+        ],
+        ids=_command_name,
+    )
+    def test_parser_built_for_argv_parses_it_like_the_full_parser(self, argv):
+        parser = cli.build_parser(argv)
+        assert parser.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+        def flagged(parser, name=""):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for leaf, child in action.choices.items():
+                        yield from flagged(child, f"{name} {leaf}".strip())
+                elif action.dest != "help":
+                    yield name
+
+        assert set(flagged(parser)) == {_command_name(argv)}
+
+    @pytest.mark.parametrize(
+        "argv",
         [["label"], ["train"], ["classify"], ["evaluate"], ["ablate"], ["report"], ["cache", "stats"], ["cache", "compact"]],
     )
     def test_main_calls_the_handler_the_module_holds_when_it_runs(self, monkeypatch, capsys, argv):
@@ -1166,14 +1207,45 @@ def test_module_entry_point():
     assert "evaluate" in result.stdout
 
 
-# Standard-library modules no command imports: dataclasses (with inspect, ast
-# and dis) and secrets each cost milliseconds at every start.
-_UNUSED_MODULES = ("dataclasses", "inspect", "secrets")
+def test_cli_warning_goes_to_stderr_in_its_format(tmp_path):
+    (tmp_path / "bad.tsv").write_text("paris\tFR\tgazetteer\t2024-01-01\nonly two\tfields\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(tweetcountry.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "tweetcountry", "cache", "stats", "--cache", "bad.tsv"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stderr == "WARNING tweetcountry.geocode: bad.tsv:2: skipping malformed cache line\n"
+    assert json.loads(result.stdout)["entries"] == 1
+
+
+# Standard-library modules a command leaves unimported; each costs
+# milliseconds at every start. No command imports dataclasses (with inspect,
+# ast and dis) or secrets, and logging loads only for a warning. Statistics,
+# fractions and decimal load only to evaluate, datetime only to write a cache
+# entry.
+_NEVER = ("dataclasses", "inspect", "secrets", "logging")
+_EVALUATION = ("statistics", "fractions", "decimal")
+_UNUSED_MODULES = {
+    "label": _NEVER + _EVALUATION,
+    "train": _NEVER + _EVALUATION,
+    "classify": _NEVER + _EVALUATION,
+    "evaluate": _NEVER,
+    "ablate": _NEVER,
+    "report": _NEVER,
+    "cache stats": _NEVER + _EVALUATION + ("datetime",),
+}
+# argv: the comma-separated modules to look for, then the command line.
 _MODULES_PROBE = (
     "import sys\n"
     "from tweetcountry.cli import main\n"
-    "code = main(sys.argv[1:])\n"
-    f"print(sorted(set({_UNUSED_MODULES!r}) & set(sys.modules)), file=sys.stderr)\n"
+    "code = main(sys.argv[2:])\n"
+    "print(sorted(set(sys.argv[1].split(',')) & set(sys.modules)), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -1189,7 +1261,7 @@ _MODULES_PROBE = (
         ["report", "--input", "labeled.ndjson", "--report-json", "r.json"],
         ["cache", "stats"],
     ],
-    ids=lambda argv: " ".join(argv[:2]) if argv[0] == "cache" else argv[0],
+    ids=_command_name,
 )
 def test_commands_leave_unused_modules_unimported(tmp_path, labeled_file, model_file, command):
     write_raw_corpus(tmp_path / "raw.ndjson")
@@ -1198,7 +1270,10 @@ def test_commands_leave_unused_modules_unimported(tmp_path, labeled_file, model_
     # anything, out of the run; the package needs only its own directory.
     env = {**os.environ, "PYTHONPATH": str(Path(tweetcountry.__file__).parents[1])}
     result = subprocess.run(
-        [sys.executable, "-S", "-c", _MODULES_PROBE, *command, "--cache", "cache.tsv"],
+        [
+            sys.executable, "-S", "-c", _MODULES_PROBE, ",".join(_UNUSED_MODULES[_command_name(command)]),
+            *command, "--cache", "cache.tsv",
+        ],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -139,6 +139,13 @@ def test_geoparser_errors_are_swallowed(error):
     assert fv[K.LOCATION] == "awesome enschede"
 
 
+def test_geoparser_error_is_logged_as_a_warning(caplog):
+    extract_features(FULL_TWEET, geoparser=StubGeoparser(error=GeoparserFailure("boom")))
+    assert [(record.name, record.levelname, record.getMessage()) for record in caplog.records] == [
+        ("tweetcountry.features", "WARNING", "geoparse failed for '  Awesome   Enschede ': boom")
+    ]
+
+
 def test_whitespace_only_location_is_omitted():
     parser = StubGeoparser({})
     fv = extract_features(TweetRecord(user_location="   "), geoparser=parser)
