@@ -17,6 +17,7 @@ import json
 import os
 import stat
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator
@@ -180,11 +181,16 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
 
 
 def build_geocoder(cfg: SimpleNamespace) -> Geocoder:
+    """The geocoder the config describes. Under ``main``, its cache holds one
+    append descriptor until the run's exit stack closes."""
     gazetteer = load_gazetteer(cfg.gazetteer) if cfg.gazetteer else default_gazetteer()
     reverse_index = (
         load_reverse_points(cfg.reverse_points) if cfg.reverse_points else default_reverse_index()
     )
     cache = GeocodeCache(cfg.cache)
+    exit_stack = getattr(cfg, "exit_stack", None)
+    if exit_stack is not None:
+        exit_stack.enter_context(cache)
     remote = None
     if cfg.remote_backend and cfg.remote_backend != "none":
         factory = REMOTE_BACKENDS.get(cfg.remote_backend)
@@ -561,14 +567,18 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        cfg.case_fold_given = getattr(args, "case_fold", None)
-        summary = {
-            **args.handler(cfg),
-            "command": args.command,
-            "config": cfg.echo,
-            "config_sha256": cfg.digest,
-        }
+        # What the command holds open (the cache's append descriptor) is
+        # closed here on every exit path, before the summary or error prints.
+        with ExitStack() as exit_stack:
+            cfg = resolve_config(args)
+            cfg.case_fold_given = getattr(args, "case_fold", None)
+            cfg.exit_stack = exit_stack
+            summary = {
+                **args.handler(cfg),
+                "command": args.command,
+                "config": cfg.echo,
+                "config_sha256": cfg.digest,
+            }
         print(json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2))
         return EXIT_OK
     except TweetCountryError as exc:

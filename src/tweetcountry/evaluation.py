@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -199,6 +198,8 @@ def kfold_split(n: int, k: int, seed: int) -> FoldAssignment:
     Fold sizes differ by at most one. The same triple always produces the
     same assignment.
     """
+    import random
+
     if not 2 <= k <= n:
         raise InvalidFoldCount(f"need 2 <= k <= {n}, got k={k}")
     order = list(range(n))

@@ -177,7 +177,8 @@ class GeocodeCache:
 
     Columns: escaped key, outcome ("-" for a negative), source, UTC timestamp.
     On load the last entry per key wins, so appending is always safe. Session
-    hit and miss counters cover this process only.
+    hit and miss counters cover this process only. Used as a context manager,
+    the cache appends through one descriptor and closes it on exit.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -186,6 +187,9 @@ class GeocodeCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        # Inside ``with`` (_hold), the append descriptor the first put opened.
+        self._fd: int | None = None
+        self._hold = False
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -229,12 +233,28 @@ class GeocodeCache:
                 self.hits += 1
             return entry
 
+    def __enter__(self) -> GeocodeCache:
+        """Hold one append descriptor, opened by the first put, until exit."""
+        self._hold = True
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._hold = False
+            self._close_held()
+
+    def _close_held(self) -> None:
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
+
     def put(self, key: str, country: str | None, source: str) -> CacheEntry:
         """Record an outcome, and append it to the file if the cache has one.
 
         The line is encoded first, so a key that is not valid Unicode text
-        raises before memory or file changes. Each entry is appended with one
-        write on a descriptor opened for it; no handle stays open between calls.
+        raises before memory or file changes. Each entry is appended whole,
+        with one write loop on an ``O_APPEND`` descriptor: inside ``with``,
+        the one the first put opened; outside it, one opened for this entry.
         """
         if not key:
             raise ValueError("cache key must be non-empty")
@@ -248,12 +268,17 @@ class GeocodeCache:
         with self._lock:
             self._entries[key] = entry
             if self._path is not None:
-                fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                fd = self._fd
+                if fd is None:
+                    fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                    if self._hold:
+                        self._fd = fd
                 try:
                     while data:
                         data = data[os.write(fd, data) :]
                 finally:
-                    os.close(fd)
+                    if fd != self._fd:
+                        os.close(fd)
         return entry
 
     def stats(self) -> dict:
@@ -269,10 +294,14 @@ class GeocodeCache:
             }
 
     def compact(self) -> int:
-        """Rewrite the file with one line per key, sorted. Returns entry count."""
+        """Rewrite the file with one line per key, sorted. Returns entry count.
+
+        A held descriptor is closed first, so a later put opens the new file
+        instead of appending to the replaced one."""
         with self._lock:
             if self._path is None:
                 return len(self._entries)
+            self._close_held()
             lines = [_cache_line(key, self._entries[key]) for key in sorted(self._entries)]
             write_text_atomic(self._path, "".join(lines))
             return len(self._entries)
@@ -309,6 +338,8 @@ class ReversePointIndex:
         for point in self._points:
             if not -90.0 <= point.lat <= 90.0:
                 raise ValueError(f"latitude out of range: {point.lat}")
+            if not -180.0 <= point.lon <= 180.0:
+                raise ValueError(f"longitude out of range: {point.lon}")
         self.max_distance_km = max_distance_km
         # Point positions in latitude order, and those latitudes, for the band search.
         self._by_lat = sorted(range(len(self._points)), key=lambda i: self._points[i].lat)
@@ -323,15 +354,33 @@ class ReversePointIndex:
         lat must lie within 90 degrees, as Geocoder.reverse checks. Only points
         inside the query's latitude band are measured: the distance is at least
         the earth's radius times the latitude difference, so a point further
-        off in latitude than the ceiling's angle cannot match. Candidates are
-        visited in list order, so the answer equals a scan over every point.
+        off in latitude than the ceiling's angle cannot match. Of those, a
+        point further off in longitude than the band allows is skipped too:
+        the query and every band point lie within ``|lat| + reach`` degrees of
+        the equator, so sin^2(d / 2R) >= cos^2(|lat| + reach) * sin^2(dlon / 2).
+        The longitude cut applies only when that band stays off the poles and
+        the ceiling's angle is below pi; a NaN query or ceiling measures the
+        whole band. Candidates are visited in list order, so the answer equals
+        a scan over every point.
         """
         best: str | None = None
         best_distance = self.max_distance_km
-        reach = math.degrees(best_distance / EARTH_RADIUS_KM) + _BAND_MARGIN_DEG
+        angle = best_distance / EARTH_RADIUS_KM
+        reach = math.degrees(angle) + _BAND_MARGIN_DEG
         band = self._by_lat[bisect_left(self._lats, lat - reach) : bisect_right(self._lats, lat + reach)]
+        # Longitude differences in (lon_reach, 360 - lon_reach) cannot match;
+        # at 180 that interval is empty.
+        lon_reach = 180.0
+        edge = abs(lat) + reach
+        if edge < 90.0 and angle < math.pi:
+            limit = math.sin(angle / 2) / math.cos(math.radians(edge))
+            if limit < 1.0:
+                lon_reach = math.degrees(2 * math.asin(limit)) + _BAND_MARGIN_DEG
+        lon_far = 360.0 - lon_reach
         for index in sorted(band):
             point = self._points[index]
+            if lon_reach < abs(lon - point.lon) < lon_far:
+                continue
             distance = haversine_km(lat, lon, point.lat, point.lon)
             if distance <= best_distance:
                 best = point.country

@@ -632,6 +632,46 @@ class TestCache:
     def test_cache_requires_path(self):
         assert main(["cache", "stats"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "last_line, expected",
+        [
+            (None, EXIT_OK),
+            ({"id": "9", "coordinates": [0.0, 95.0]}, EXIT_INPUT),
+            ({"id": "9", "coordinates": [0.0, 0.0]}, EXIT_GEOCODER),
+            ({"id": "9", "place": {"country_code": "NL"}}, RuntimeError),
+        ],
+        ids=["ok", "malformed", "unresolvable", "exception"],
+    )
+    def test_label_closes_the_cache_descriptor_on_every_exit(self, tmp_path, monkeypatch, last_line, expected):
+        cache_path = tmp_path / "cache.tsv"
+        source = tmp_path / "raw.ndjson"
+        lines = [
+            {"id": "1", "coordinates": [4.48431747, 52.1674388]},
+            {"id": "2", "coordinates": [2.3522, 48.8566]},
+            *([last_line] if last_line else []),
+        ]
+        source.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        if expected is RuntimeError:
+            real_to_flat_dict = cli.to_flat_dict
+
+            def failing_to_flat_dict(record):
+                if record.id == "9":
+                    raise RuntimeError("output failed")
+                return real_to_flat_dict(record)
+
+            monkeypatch.setattr(cli, "to_flat_dict", failing_to_flat_dict)
+        argv = ["label", "--strict", "--input", str(source), "--output", str(tmp_path / "out"),
+                "--cache", str(cache_path)]
+        before = sorted(os.listdir("/dev/fd"))
+        if isinstance(expected, int):
+            assert main(argv) == expected
+        else:
+            with pytest.raises(expected):
+                main(argv)
+        assert sorted(os.listdir("/dev/fd")) == before
+        keys = [line.split("\t")[0] for line in cache_path.read_text(encoding="utf-8").splitlines()]
+        assert keys[:2] == ["reverse:52.1674,4.4843", "reverse:48.8566,2.3522"]
+
 
 class TestConfigResolution:
     def test_config_file_applies(self, tmp_path, labeled_file, capsys):
@@ -1228,17 +1268,17 @@ def test_cli_warning_goes_to_stderr_in_its_format(tmp_path):
 # milliseconds at every start. No command imports dataclasses (with inspect,
 # ast and dis) or secrets, and logging loads only for a warning. Statistics,
 # fractions and decimal load only to evaluate, datetime only to write a cache
-# entry.
+# entry, random only to assign folds.
 _NEVER = ("dataclasses", "inspect", "secrets", "logging")
 _EVALUATION = ("statistics", "fractions", "decimal")
 _UNUSED_MODULES = {
-    "label": _NEVER + _EVALUATION,
-    "train": _NEVER + _EVALUATION,
-    "classify": _NEVER + _EVALUATION,
+    "label": _NEVER + _EVALUATION + ("random",),
+    "train": _NEVER + _EVALUATION + ("random",),
+    "classify": _NEVER + _EVALUATION + ("random",),
     "evaluate": _NEVER,
     "ablate": _NEVER,
     "report": _NEVER,
-    "cache stats": _NEVER + _EVALUATION + ("datetime",),
+    "cache stats": _NEVER + _EVALUATION + ("datetime", "random"),
 }
 # argv: the comma-separated modules to look for, then the command line.
 _MODULES_PROBE = (

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import random
 import threading
 
 import pytest
@@ -31,6 +33,7 @@ from tweetcountry.geocode import (
     parse_reverse_points,
     reverse_cache_key,
 )
+from tweetcountry.tweet_model import bundled_data
 
 
 class CountingRemote:
@@ -362,6 +365,46 @@ class TestCache:
         if with_file:
             assert path.read_bytes() == before
 
+    def test_held_descriptor_writes_what_per_put_opens_write(self, tmp_path, monkeypatch):
+        opened = []
+        real_open = os.open
+
+        def recording_open(path, *args):
+            opened.append(path)
+            return real_open(path, *args)
+
+        monkeypatch.setattr(geocode.os, "open", recording_open)
+        rows = [("Zürich", "CH", "gazetteer"), ("x\ty", None, "points"), ("Zürich", "DE", "remote")]
+        held, per_put = tmp_path / "held.tsv", tmp_path / "per_put.tsv"
+        with GeocodeCache(held) as cache:
+            held_lines = []
+            for key, country, source in rows:
+                held_lines.append(geocode._cache_line(key, cache.put(key, country, source)))
+                # Each line is in the file, whole, when put returns.
+                assert held.read_text(encoding="utf-8") == "".join(held_lines)
+        cache = GeocodeCache(per_put)
+        per_put_lines = [geocode._cache_line(key, cache.put(key, country, source)) for key, country, source in rows]
+        assert per_put.read_text(encoding="utf-8") == "".join(per_put_lines)
+        assert opened == [held] + [per_put] * len(rows)
+
+        def outcomes(path):
+            loaded = GeocodeCache(path)
+            return {key: entry[:2] for key, entry in loaded._entries.items()}
+
+        assert outcomes(held) == outcomes(per_put) == {"Zürich": ("DE", "remote"), "x\ty": (None, "points")}
+
+    def test_put_after_compact_lands_in_the_compacted_file(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        with GeocodeCache(path) as cache:
+            cache.put("b", "FR", "x")
+            cache.put("a", "NL", "x")
+            cache.put("b", "DE", "x")
+            assert cache.compact() == 2
+            late = cache.put("c", None, "x")
+        keys = [line.split("\t")[0] for line in path.read_text(encoding="utf-8").splitlines()]
+        assert keys == ["a", "b", "c"]
+        assert GeocodeCache(path).get("c") == late
+
     def test_compact_dedupes_and_sorts(self, tmp_path):
         path = tmp_path / "cache.tsv"
         cache = GeocodeCache(path)
@@ -443,6 +486,33 @@ class TestReverseIndex:
         with pytest.raises(ValueError, match="latitude out of range"):
             ReversePointIndex([ReferencePoint(100.0, 0.0, "NO", "b")])
 
+    @pytest.mark.parametrize("lon", [180.5, -181.0, math.inf, math.nan])
+    def test_rejects_longitude_past_the_antimeridian(self, lon):
+        with pytest.raises(ValueError, match="longitude out of range"):
+            ReversePointIndex([ReferencePoint(0.0, lon, "NO", "b")])
+
+    def test_bundled_points_match_linear_scan(self):
+        points = parse_reverse_points(bundled_data("reverse_points.tsv"), "bundled")
+        rng = random.Random(16)
+        queries = []
+        for point in points:
+            queries.append((point.lat, point.lon))
+            for spread in (0.5, 4.0):
+                lat = min(90.0, max(-90.0, point.lat + rng.uniform(-spread, spread)))
+                lon = (point.lon + rng.uniform(-spread, spread) + 180.0) % 360.0 - 180.0
+                queries.append((lat, lon))
+        # Near both poles, and across the antimeridian next to Fiji and New Zealand.
+        queries += [(lat, lon) for lat in (90.0, 89.99, 88.0, -88.0, -89.99, -90.0) for lon in (-180.0, 0.0, 135.0, 180.0)]
+        queries += [
+            (lat, lon)
+            for lat in (-18.1, -17.0, -37.0, -41.3)
+            for lon in (177.5, 179.99, 180.0, -180.0, -179.99, -177.5)
+        ]
+        for ceiling in (0.0, 1.0, 300.0, math.pi * EARTH_RADIUS_KM, 25_000.0, math.inf, math.nan):
+            index = ReversePointIndex(points, max_distance_km=ceiling)
+            for lat, lon in queries:
+                assert index.nearest_country(lat, lon) == linear_nearest(points, ceiling, lat, lon), (ceiling, lat, lon)
+
     def test_band_bounds_distance_calls(self, monkeypatch):
         index = default_reverse_index()
         calls = []
@@ -462,7 +532,7 @@ class TestReverseIndex:
         for (lat, lon), country in queries.items():
             calls.clear()
             assert index.nearest_country(lat, lon) == country
-            assert 0 < len(calls) < 60
+            assert 0 < len(calls) < 20
 
     def test_parse_reverse_points(self):
         points = parse_reverse_points(
