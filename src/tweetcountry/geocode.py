@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import time
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Iterable, NamedTuple, Protocol
@@ -28,9 +29,10 @@ _BAND_MARGIN_DEG = 1e-6
 
 _TOKEN_TRIM = ".,!?;:()[]\"'"
 
-# The datetime module, imported by the first GeocodeCache.put: only cache
-# writes need it.
-_datetime = None
+# The latest cache stamp's whole UTC second and its "YYYY-MM-DDTHH:MM:SS"
+# text. Replaced as one pair, so a concurrent put never joins one second's
+# text to another second's microseconds.
+_stamp_second: tuple[int | None, str] = (None, "")
 
 
 class RemoteGeocoder(Protocol):
@@ -155,9 +157,21 @@ def _cache_line(key: str, entry: CacheEntry) -> str:
     return "\t".join(fields) + "\n"
 
 
+def _utc_stamp() -> str:
+    """The current UTC time as ``datetime.now(timezone.utc).isoformat()`` writes
+    it, microseconds truncated, and without a fraction at microsecond 0. The
+    date and time of day are formatted once per second."""
+    global _stamp_second
+    second, micro = divmod(time.time_ns() // 1000, 1_000_000)
+    cached = _stamp_second
+    if cached[0] != second:
+        cached = _stamp_second = (second, "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(second)[:6])
+    if micro:
+        return f"{cached[1]}.{micro:06d}+00:00"
+    return cached[1] + "+00:00"
+
+
 def _unescape_key(key: str) -> str:
-    if "\\" not in key:
-        return key
     out: list[str] = []
     i = 0
     while i < len(key):
@@ -170,6 +184,13 @@ def _unescape_key(key: str) -> str:
             out.append(ch)
             i += 1
     return "".join(out)
+
+
+def _utf8_or_none(raw: bytes) -> str | None:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
 
 
 class GeocodeCache:
@@ -190,6 +211,8 @@ class GeocodeCache:
         # Inside ``with`` (_hold), the append descriptor the first put opened.
         self._fd: int | None = None
         self._hold = False
+        # True when the file may end inside a line: the next append ends it first.
+        self._torn = False
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -203,26 +226,41 @@ class GeocodeCache:
     def _load(self) -> None:
         """Read the file's entries. Lines end at a line feed, and a carriage
         return before it is dropped; a line that is not UTF-8 text of four
-        fields is skipped with a warning."""
+        fields is skipped with a warning.
+
+        The file is read once and decoded whole; only a file that is not
+        UTF-8 throughout is decoded line by line, so each warning keeps its
+        line number."""
         assert self._path is not None
-        with self._path.open("rb") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.removesuffix(b"\n").removesuffix(b"\r")
+        data = self._path.read_bytes()
+        self._torn = bool(data) and not data.endswith(b"\n")
+        try:
+            lines: list[str | None] = data.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            lines = [_utf8_or_none(raw) for raw in data.split(b"\n")]
+        entries = self._entries
+        # CacheEntry(...) runs a Python __new__; tuple.__new__ builds the same record in C.
+        new_entry = tuple.__new__
+        for lineno, line in enumerate(lines, 1):
+            if line is None:
+                fields = ()
+            else:
+                line = line.removesuffix("\r")
                 if not line:
                     continue
-                try:
-                    fields = line.decode("utf-8").split("\t")
-                except UnicodeDecodeError:
-                    fields = []
-                if len(fields) != 4:
-                    warn(__name__, "%s:%d: skipping malformed cache line", self._path, lineno)
-                    continue
-                key = _unescape_key(fields[0])
-                outcome = None if fields[1] == NEGATIVE_MARK else fields[1]
-                if outcome is not None and not is_country_code(outcome):
-                    warn(__name__, "%s:%d: skipping invalid outcome %r", self._path, lineno, fields[1])
-                    continue
-                self._entries[key] = CacheEntry(outcome, fields[2], fields[3])
+                fields = line.split("\t")
+            if len(fields) != 4:
+                warn(__name__, "%s:%d: skipping malformed cache line", self._path, lineno)
+                continue
+            key, outcome, source, stamp = fields
+            if outcome == NEGATIVE_MARK:
+                outcome = None
+            elif not is_country_code(outcome):
+                warn(__name__, "%s:%d: skipping invalid outcome %r", self._path, lineno, outcome)
+                continue
+            if "\\" in key:
+                key = _unescape_key(key)
+            entries[key] = new_entry(CacheEntry, (outcome, source, stamp))
 
     def get(self, key: str) -> CacheEntry | None:
         with self._lock:
@@ -251,20 +289,21 @@ class GeocodeCache:
     def put(self, key: str, country: str | None, source: str) -> CacheEntry:
         """Record an outcome, and append it to the file if the cache has one.
 
-        The line is encoded first, so a key that is not valid Unicode text
-        raises before memory or file changes. Each entry is appended whole,
-        with one write loop on an ``O_APPEND`` descriptor: inside ``with``,
-        the one the first put opened; outside it, one opened for this entry.
+        The entry's timestamp is the current UTC time in
+        ``datetime.isoformat`` form. The line is encoded first, so a key that
+        is not valid Unicode text raises before memory or file changes. Each
+        entry is appended whole, with one write loop on an ``O_APPEND``
+        descriptor: inside ``with``, the one the first put opened; outside it,
+        one opened for this entry. When the loaded file did not end in a line
+        feed, or an earlier put's write stopped partway, the same write starts
+        with a line feed, so the entry does not join the torn line.
         """
         if not key:
             raise ValueError("cache key must be non-empty")
         if country is not None and not is_country_code(country):
             raise ValueError(f"invalid cached country {country!r}")
-        global _datetime
-        if _datetime is None:
-            import datetime as _datetime
-        entry = CacheEntry(country, source, _datetime.datetime.now(_datetime.timezone.utc).isoformat())
-        data = _cache_line(key, entry).encode("utf-8")
+        entry = CacheEntry(country, source, _utc_stamp())
+        line = _cache_line(key, entry).encode("utf-8")
         with self._lock:
             self._entries[key] = entry
             if self._path is not None:
@@ -273,10 +312,15 @@ class GeocodeCache:
                     fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
                     if self._hold:
                         self._fd = fd
+                data = b"\n" + line if self._torn else line
+                size = len(data)
                 try:
                     while data:
                         data = data[os.write(fd, data) :]
                 finally:
+                    if len(data) < size:
+                        # Some bytes landed: the file ends in a newline only if all did.
+                        self._torn = bool(data)
                     if fd != self._fd:
                         os.close(fd)
         return entry
@@ -304,6 +348,7 @@ class GeocodeCache:
             self._close_held()
             lines = [_cache_line(key, self._entries[key]) for key in sorted(self._entries)]
             write_text_atomic(self._path, "".join(lines))
+            self._torn = False
             return len(self._entries)
 
 

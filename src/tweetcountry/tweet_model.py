@@ -75,6 +75,19 @@ class ValueClass:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+def _check_ranges(latitude: Any, longitude: Any, offset: Any) -> None:
+    """Raise MalformedInput for a latitude, longitude or UTC offset out of range,
+    checked in that order; None is absent and passes."""
+    if latitude is not None and not -90.0 <= latitude <= 90.0:
+        raise MalformedInput(f"latitude out of range: {_shown(latitude)}")
+    if longitude is not None and not -180.0 <= longitude <= 180.0:
+        raise MalformedInput(f"longitude out of range: {_shown(longitude)}")
+    if offset is not None and not -UTC_OFFSET_LIMIT <= offset <= UTC_OFFSET_LIMIT:
+        raise MalformedInput(f"utc offset out of range: {_shown(offset)}")
+
+
+_new_tuple = tuple.__new__
+
 _TweetFields = namedtuple(
     "_TweetFields",
     "id text user_location time_zone utc_offset_seconds tweet_language user_language"
@@ -109,13 +122,7 @@ class TweetRecord(_TweetFields):
     ) -> TweetRecord:
         if (longitude is None) != (latitude is None):
             raise MalformedInput("longitude and latitude must be given together")
-        if latitude is not None and not -90.0 <= latitude <= 90.0:
-            raise MalformedInput(f"latitude out of range: {_shown(latitude)}")
-        if longitude is not None and not -180.0 <= longitude <= 180.0:
-            raise MalformedInput(f"longitude out of range: {_shown(longitude)}")
-        offset = utc_offset_seconds
-        if offset is not None and not -UTC_OFFSET_LIMIT <= offset <= UTC_OFFSET_LIMIT:
-            raise MalformedInput(f"utc offset out of range: {_shown(offset)}")
+        _check_ranges(latitude, longitude, utc_offset_seconds)
         if tweet_language is not None and tweet_language != tweet_language.lower():
             raise MalformedInput(f"tweet_language must be lowercase: {tweet_language!r}")
         if user_language is not None and user_language != user_language.lower():
@@ -131,7 +138,7 @@ class TweetRecord(_TweetFields):
         ):
             if value == "":
                 raise MalformedInput(f"{name} must be absent rather than empty")
-        return tuple.__new__(
+        return _new_tuple(
             cls,
             (id, text, user_location, time_zone, utc_offset_seconds, tweet_language,
              user_language, longitude, latitude, place_country_code),
@@ -271,7 +278,9 @@ def record_from_dict(obj: Mapping[str, Any]) -> TweetRecord:
     Unknown keys are ignored. Present fields with the wrong type, strings that
     do not encode as UTF-8, out-of-range coordinates or offsets, and invalid
     country codes raise MalformedInput. The checks run in a fixed order, so a
-    record with several defects always reports the same one.
+    record with several defects always reports the same one. Each check runs
+    once: the range checks are ``TweetRecord``'s own, and the record is built
+    without its constructor, whose other checks the reads already satisfy.
     """
     if not _is_mapping(obj):
         raise MalformedInput("tweet must be a JSON object")
@@ -325,18 +334,20 @@ def record_from_dict(obj: Mapping[str, Any]) -> TweetRecord:
     elif not text.isascii():
         _utf8_text(text, "text")
 
-    return TweetRecord(
-        id=_parse_id(obj),
-        text=text,
-        user_location=user_location,
-        time_zone=time_zone,
-        utc_offset_seconds=utc_offset,
-        tweet_language=tweet_language.lower() if tweet_language else None,
-        user_language=user_language.lower() if user_language else None,
-        longitude=lon,
-        latitude=lat,
-        place_country_code=place_code,
+    tweet_id = _parse_id(obj)
+    _check_ranges(lat, lon, utc_offset)
+    # The reads above already hold TweetRecord's other invariants: both
+    # coordinates or neither, lowercase languages, a valid code, no "".
+    return _new_tuple(
+        TweetRecord,
+        (tweet_id, text, user_location, time_zone, utc_offset,
+         tweet_language.lower() if tweet_language else None,
+         user_language.lower() if user_language else None,
+         lon, lat, place_code),
     )
+
+
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def decode_object(raw: str | bytes) -> dict[str, Any]:
@@ -344,7 +355,21 @@ def decode_object(raw: str | bytes) -> dict[str, Any]:
 
     Nesting too deep for the decoder, and an integer literal longer than
     ``sys.get_int_max_str_digits()`` allows, are malformed input too.
+
+    A str that holds exactly one JSON object, from its first character to its
+    last, is decoded once by ``JSONDecoder.raw_decode``. Anything else (bytes,
+    a byte order mark, surrounding whitespace, trailing text, another JSON
+    value, an error) goes through ``json.loads``, whose result or message is
+    the one returned or raised.
     """
+    if type(raw) is str:
+        try:
+            obj, end = _raw_decode(raw)
+        except (ValueError, RecursionError):
+            pass
+        else:
+            if end == len(raw) and type(obj) is dict:
+                return obj
     try:
         obj = json.loads(raw)
     except (ValueError, RecursionError) as exc:

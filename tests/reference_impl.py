@@ -1,12 +1,13 @@
 """Reference copies of the input paths as they were before they were tuned.
 
-``record_from_dict`` (with ``TweetRecord``'s construction checks),
-``extract_features`` (with its per-kind if-chain) and ``model_from_dict``
-(with every message formatted before its check) are kept here verbatim in
-behaviour, so property tests can check that the tuned code returns the same
-records, vectors and models and raises the same errors with the same
-messages, in the same order. They are test oracles only; nothing in the
-package imports them.
+``decode_object`` (one ``json.loads`` per document), ``record_from_dict``
+(with ``TweetRecord``'s construction checks), ``extract_features`` (with its
+per-kind if-chain), ``model_from_dict`` (with every message formatted before
+its check) and the geocode cache loader (one decode per line) are kept here
+verbatim in behaviour, so property tests can check that the tuned code
+returns the same objects, records, vectors, models and cache entries and
+raises or warns with the same messages, in the same order. They are test
+oracles only; nothing in the package imports them.
 
 The value classes the package once built with ``@dataclass`` are kept here
 too, as their dataclass twins (fields and construction checks; their other
@@ -17,6 +18,7 @@ constructor errors.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from dataclasses import dataclass, field
@@ -32,6 +34,7 @@ from tweetcountry.errors import (
     RemoteUnavailable,
 )
 from tweetcountry.features import FeatureKind, kind_from_name, ordered_kinds
+from tweetcountry.geocode import NEGATIVE_MARK, CacheEntry, _unescape_key
 from tweetcountry.tweet_model import UTC_OFFSET_LIMIT, TweetRecord, _shown, is_country_code
 
 _WHITESPACE_RUN = re.compile(r"\s+")
@@ -230,6 +233,43 @@ def reference_record_from_dict(obj: Mapping[str, Any]) -> TweetRecord:
         latitude=lat,
         place_country_code=place_code,
     )
+
+
+def reference_decode_object(raw: str | bytes) -> dict[str, Any]:
+    """decode_object as it was when every document went through json.loads."""
+    try:
+        obj = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInput(f"invalid JSON: {exc}") from None
+    if type(obj) is not dict:
+        raise MalformedInput("tweet must be a JSON object")
+    return obj
+
+
+def reference_cache_load(path) -> tuple[dict[str, CacheEntry], list[str]]:
+    """GeocodeCache._load as it was when it decoded each line on its own:
+    the entries it kept, and the text of each warning it gave, in order."""
+    entries: dict[str, CacheEntry] = {}
+    warnings: list[str] = []
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.removesuffix(b"\n").removesuffix(b"\r")
+            if not line:
+                continue
+            try:
+                fields = line.decode("utf-8").split("\t")
+            except UnicodeDecodeError:
+                fields = []
+            if len(fields) != 4:
+                warnings.append(f"{path}:{lineno}: skipping malformed cache line")
+                continue
+            key = _unescape_key(fields[0])
+            outcome = None if fields[1] == NEGATIVE_MARK else fields[1]
+            if outcome is not None and not is_country_code(outcome):
+                warnings.append(f"{path}:{lineno}: skipping invalid outcome {fields[1]!r}")
+                continue
+            entries[key] = CacheEntry(outcome, fields[2], fields[3])
+    return entries, warnings
 
 
 def _clean(text: str, case_fold: bool) -> str:

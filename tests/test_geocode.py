@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import math
 import os
 import random
+import sys
 import threading
+from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -404,6 +409,114 @@ class TestCache:
         keys = [line.split("\t")[0] for line in path.read_text(encoding="utf-8").splitlines()]
         assert keys == ["a", "b", "c"]
         assert GeocodeCache(path).get("c") == late
+
+    @pytest.mark.parametrize("held", [False, True], ids=["per-put-open", "held"])
+    def test_put_after_a_torn_last_line_starts_its_own_line(self, tmp_path, caplog, held):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b"k1\tNL\tsrc\t2024-01-01\nk3\tF")
+        cache = GeocodeCache(path)
+        with cache if held else contextlib.nullcontext():
+            second = cache.put("k2", "US", "points")
+            fourth = cache.put("k4", None, "points")
+        assert path.read_bytes() == (
+            "k1\tNL\tsrc\t2024-01-01\nk3\tF\n"
+            f"k2\tUS\tpoints\t{second.timestamp}\nk4\t-\tpoints\t{fourth.timestamp}\n"
+        ).encode("utf-8")
+        caplog.clear()
+        assert GeocodeCache(path)._entries == {
+            "k1": geocode.CacheEntry("NL", "src", "2024-01-01"), "k2": second, "k4": fourth,
+        }
+        # The torn line itself is still skipped, with its warning.
+        assert [record.getMessage() for record in caplog.records] == [f"{path}:2: skipping malformed cache line"]
+
+    def test_put_after_compacting_a_torn_file_adds_no_blank_line(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b"k1\tNL\tsrc\tt\nk3\tF")
+        cache = GeocodeCache(path)
+        cache.compact()
+        late = cache.put("k2", "US", "x")
+        assert path.read_text(encoding="utf-8") == f"k1\tNL\tsrc\tt\nk2\tUS\tx\t{late.timestamp}\n"
+
+    @pytest.mark.parametrize("written", [0, 5])
+    @pytest.mark.parametrize("held", [False, True], ids=["per-put-open", "held"])
+    def test_put_after_a_write_that_stopped_partway(self, tmp_path, monkeypatch, held, written):
+        path = tmp_path / "cache.tsv"
+        cache = GeocodeCache(path)
+        real_write = os.write
+
+        def failing_write(fd, data):
+            if written and not failing_write.wrote:
+                failing_write.wrote = True
+                return real_write(fd, data[:written])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        failing_write.wrote = False
+        with cache if held else contextlib.nullcontext():
+            first = cache.put("k1", "NL", "x")
+            monkeypatch.setattr(geocode.os, "write", failing_write)
+            with pytest.raises(OSError):
+                cache.put("lost", "FR", "x")
+            monkeypatch.setattr(geocode.os, "write", real_write)
+            second = cache.put("k2", "US", "x")
+        # A line whose write stopped partway is ended before the next one.
+        torn = "lost\t\n" if written else ""
+        assert path.read_text(encoding="utf-8") == (
+            f"k1\tNL\tx\t{first.timestamp}\n{torn}k2\tUS\tx\t{second.timestamp}\n"
+        )
+        loaded = GeocodeCache(path)
+        assert (loaded.get("k1"), loaded.get("k2"), loaded.get("lost")) == (first, second, None)
+
+    # Explicit examples run first, in this order, through one memo of the
+    # second's text: microsecond 0 (no fraction) and 999,999, both sides of
+    # a second boundary and back, of a new year, and of 1970.
+    @given(st.integers(min_value=0, max_value=253_402_300_799_999_999_999))
+    @example(1_700_000_000 * 10**9)
+    @example(1_700_000_000 * 10**9 + 999_999_999)
+    @example(1_700_000_000 * 10**9 - 1)
+    @example(1_700_000_000 * 10**9)
+    @example(1_700_000_000 * 10**9 - 1)
+    @example(1_704_067_199_999_999_000)
+    @example(1_704_067_200_000_000_000)
+    @example(-1)
+    @example(0)
+    def test_timestamp_is_datetime_isoformat(self, ns):
+        seconds, micro = divmod(ns // 1000, 1_000_000)
+        expected = datetime.fromtimestamp(seconds, timezone.utc).replace(microsecond=micro)
+        with mock.patch.object(geocode.time, "time_ns", return_value=ns):
+            assert GeocodeCache().put("k", None, "x").timestamp == expected.isoformat()
+
+    def test_concurrent_stamps_keep_their_own_second(self, monkeypatch):
+        """Threads stamping different seconds, as concurrent remote-tier puts
+        may, never get another second's date and time."""
+        clock = threading.local()
+        monkeypatch.setattr(geocode.time, "time_ns", lambda: clock.ns)
+        cache = GeocodeCache()
+        wrong = []
+
+        def stamp(second):
+            clock.ns = second * 10**9 + 250_000_000
+            expected = datetime.fromtimestamp(second, timezone.utc).replace(microsecond=250_000).isoformat()
+            stamps = [cache.put(f"k{second}", None, "x").timestamp]
+            stamps += [geocode._utc_stamp() for _ in range(20_000)]
+            wrong.extend(stamp for stamp in stamps if stamp != expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=stamp, args=(1_700_000_000 + 86_461 * i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_timestamp_of_a_real_put_is_now(self):
+        before = datetime.now(timezone.utc)
+        stamp = datetime.fromisoformat(GeocodeCache().put("k", None, "x").timestamp)
+        assert before.replace(microsecond=0) <= stamp <= datetime.now(timezone.utc)
 
     def test_compact_dedupes_and_sorts(self, tmp_path):
         path = tmp_path / "cache.tsv"

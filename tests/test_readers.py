@@ -14,6 +14,7 @@ import copy
 import json
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -41,6 +42,7 @@ from tweetcountry.cli import (
 )
 from tweetcountry.errors import ConflictingEntry, CorruptModel, MalformedInput
 from tweetcountry.evaluation import _parse_region, load_labeled_ndjson, load_region
+from tweetcountry import geocode
 from tweetcountry.features import FeatureKind, extract_features
 from tweetcountry.geocode import (
     GeocodeCache,
@@ -58,7 +60,7 @@ from tweetcountry.tweet_model import (
 )
 
 from conftest import make_separable_corpus
-from reference_impl import reference_model_from_dict
+from reference_impl import reference_cache_load, reference_model_from_dict
 from strategies import (
     BEYOND_FLOAT,
     DIGIT_LIMIT,
@@ -371,6 +373,46 @@ def test_geocode_cache_loader_never_raises(files_dir, data):
     for key in list(cache._entries):
         entry = cache.get(key)
         assert entry.country is None or is_country_code(entry.country)
+
+
+# Cache lines with their ends: a line feed, CRLF, a lone carriage return
+# (no line end), or none (the next line joins it, or the file ends torn).
+_cache_file_lines = st.one_of(
+    _cache_lines,
+    st.sampled_from([
+        b"",
+        b"paris\tDE\tremote\tt2",
+        b"paris\t-\tremote\tt3",
+        b"k\\\\x\\n\tNL\tpoints\tt",
+        b"trailing\\\tGB\tpoints\tt",
+        b"x\t\tgazetteer\tt",
+        b"x\tNL\tgazetteer",
+        b"x\tNL\tgazetteer\tt\textra",
+    ]),
+)
+_cache_files = st.lists(
+    st.tuples(_cache_file_lines, st.sampled_from([b"\n", b"\r\n", b"\r", b""])), max_size=8
+).map(lambda lines: b"".join(line + end for line, end in lines))
+
+
+@settings(tmp_settings, max_examples=300)
+@given(_cache_files)
+@example(
+    b"a\tNL\tsrc\tt\r\n\xffbad\tDE\tsrc\tt\n\r\n\nk\\\\t\\tx\t-\tsrc\tt\n"
+    b"x\tnl\tsrc\tt\nparis\tFR\tg\tt1\nparis\t-\tg\tt2\nk3\tF"
+)
+@example(b"a\tNL\tsrc\tt\r\n\nb\\tc\tFR\tsrc\tt\nb\\tc\tNLX\tsrc\tt\nk3\tF")
+def test_geocode_cache_loader_matches_reference(files_dir, data):
+    """The whole-file loader keeps the entries and the warnings, in order,
+    of the loader that decoded each line on its own."""
+    path = files_dir / "cache.tsv"
+    path.write_bytes(data)
+    warnings: list[str] = []
+    with mock.patch.object(geocode, "warn", lambda logger, message, *args: warnings.append(message % args)):
+        cache = GeocodeCache(path)
+    entries, expected_warnings = reference_cache_load(path)
+    assert list(cache._entries.items()) == list(entries.items())
+    assert warnings == expected_warnings
 
 
 def _tsv_lines(*typical):

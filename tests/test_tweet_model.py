@@ -13,6 +13,7 @@ from tweetcountry.errors import MalformedInput, RemoteUnavailable, ResolverFailu
 from tweetcountry.tweet_model import (
     OTHER_LABEL,
     TweetRecord,
+    decode_object,
     is_country_code,
     label_of,
     parse_tweet,
@@ -20,8 +21,24 @@ from tweetcountry.tweet_model import (
     to_flat_dict,
 )
 
-from reference_impl import ConstructionDiverged, reference_construct, reference_record_from_dict
-from strategies import BEYOND_FLOAT, DIGIT_LIMIT, TOO_LONG_FOR_TEXT, integers, numbers, strings, tweet_objects
+from reference_impl import (
+    ConstructionDiverged,
+    reference_construct,
+    reference_decode_object,
+    reference_record_from_dict,
+)
+from strategies import (
+    BEYOND_FLOAT,
+    DIGIT_LIMIT,
+    LONG_INTEGER,
+    TOO_LONG_FOR_TEXT,
+    integers,
+    json_values,
+    numbers,
+    strings,
+    tweet_dicts,
+    tweet_objects,
+)
 
 
 def test_is_country_code():
@@ -304,6 +321,21 @@ class TestLabelOf:
             label_of(TweetRecord(longitude=4.0, latitude=52.0), None)
 
 
+# Documents for decode_object: any text and bytes, JSON values, tweet objects,
+# and tweet objects with text around them that json.loads treats apart
+# (whitespace, a byte order mark) or rejects (a second value, stray text).
+_around = st.sampled_from(["", " ", "\t", "\n", "\r\n", "\ufeff", "x", "{}", "]", ","])
+json_documents = st.one_of(
+    st.text(),
+    st.binary(),
+    json_values.map(json.dumps),
+    tweet_dicts.map(json.dumps),
+    tweet_dicts.map(lambda obj: json.dumps(obj, ensure_ascii=False)),
+    st.tuples(_around, tweet_dicts.map(json.dumps), _around).map("".join),
+    tweet_dicts.map(lambda obj: json.dumps(obj).encode("utf-8")),
+)
+
+
 def _outcome(function, *args, **kwargs):
     """("record", repr) or ("error", type, message) of one call."""
     try:
@@ -360,6 +392,29 @@ class TestMatchesReference:
             assert "too long to convert" in actual[2] or "out of range: <integer of" in actual[2]
         else:
             assert actual == expected
+
+    @settings(max_examples=300)
+    @given(json_documents)
+    @example("\ufeff{}")
+    @example(b"\xef\xbb\xbf{}")
+    @example(' {"id": "1"}')
+    @example('{"id": "1"} ')
+    @example('{"id": "1"}\n')
+    @example('{"id": "1"} {"id": "2"}')
+    @example('{"id": "1"}x')
+    @example("[1, 2]")
+    @example("3")
+    @example('"text"')
+    @example("null")
+    @example("")
+    @example("[" * 100_000)
+    @example('{"a": ' * 100_000)
+    @example('{"id": ' + LONG_INTEGER + "}")
+    @example('{"lon": NaN, "lat": Infinity, "x": -Infinity}')
+    @example('{"id": "1", "id": "2"}')
+    @example(b'{"id": "1"}')
+    def test_decode_object(self, raw):
+        assert _outcome(decode_object, raw) == _outcome(reference_decode_object, raw)
 
     @given(
         st.fixed_dictionaries(
