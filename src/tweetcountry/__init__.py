@@ -5,85 +5,73 @@ carry geo information, extract categorical features (with gazetteer-backed
 geoparsing of the free-text location), train a counting Naive Bayes model,
 and evaluate with exact accuracies, seeded folds, feature ablation, and
 per-country reports.
-"""
 
-from .bayes import (
-    NaiveBayesModel,
-    classify,
-    load_model,
-    log_posterior,
-    save_model,
-    train,
-)
-from .errors import (
-    ConflictingEntry,
-    CorruptModel,
-    EmptyEvaluationSet,
-    EmptyTrainingSet,
-    GeoparserFailure,
-    InvalidFoldCount,
-    InvalidQuery,
-    MalformedInput,
-    RemoteUnavailable,
-    ResolverFailure,
-    TweetCountryError,
-)
-from .evaluation import (
-    ABLATION_PRESETS,
-    LabeledDataset,
-    PerCountryReport,
-    ablate,
-    accuracy,
-    collapse_region,
-    cross_validate,
-    kfold_split,
-    per_country_report,
-)
-from .features import ALL_KINDS, FeatureKind, FeatureVector, extract_features
-from .geocode import Gazetteer, GeocodeCache, Geocoder, RemoteGeocoder
-from .tweet_model import OTHER_LABEL, TweetRecord, label_of, parse_tweet, to_flat_dict
+The public names below are imported from their submodules on first use, so
+``import tweetcountry`` loads no submodule and each command of the CLI loads
+only the modules it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ABLATION_PRESETS",
-    "ALL_KINDS",
-    "ConflictingEntry",
-    "CorruptModel",
-    "EmptyEvaluationSet",
-    "EmptyTrainingSet",
-    "FeatureKind",
-    "FeatureVector",
-    "Gazetteer",
-    "GeocodeCache",
-    "Geocoder",
-    "GeoparserFailure",
-    "InvalidFoldCount",
-    "InvalidQuery",
-    "LabeledDataset",
-    "MalformedInput",
-    "NaiveBayesModel",
-    "OTHER_LABEL",
-    "PerCountryReport",
-    "RemoteGeocoder",
-    "RemoteUnavailable",
-    "ResolverFailure",
-    "TweetCountryError",
-    "TweetRecord",
-    "ablate",
-    "accuracy",
-    "classify",
-    "collapse_region",
-    "cross_validate",
-    "extract_features",
-    "kfold_split",
-    "label_of",
-    "load_model",
-    "log_posterior",
-    "parse_tweet",
-    "per_country_report",
-    "save_model",
-    "to_flat_dict",
-    "train",
-    "__version__",
-]
+# Each public name and the submodule that defines it.
+_SOURCES = {
+    "NaiveBayesModel": "bayes",
+    "classify": "bayes",
+    "load_model": "bayes",
+    "log_posterior": "bayes",
+    "save_model": "bayes",
+    "train": "bayes",
+    "ConflictingEntry": "errors",
+    "CorruptModel": "errors",
+    "EmptyEvaluationSet": "errors",
+    "EmptyTrainingSet": "errors",
+    "GeoparserFailure": "errors",
+    "InvalidFoldCount": "errors",
+    "InvalidQuery": "errors",
+    "MalformedInput": "errors",
+    "RemoteUnavailable": "errors",
+    "ResolverFailure": "errors",
+    "TweetCountryError": "errors",
+    "ABLATION_PRESETS": "evaluation",
+    "LabeledDataset": "evaluation",
+    "PerCountryReport": "evaluation",
+    "ablate": "evaluation",
+    "accuracy": "evaluation",
+    "collapse_region": "evaluation",
+    "cross_validate": "evaluation",
+    "kfold_split": "evaluation",
+    "per_country_report": "evaluation",
+    "ALL_KINDS": "features",
+    "FeatureKind": "features",
+    "FeatureVector": "features",
+    "extract_features": "features",
+    "Gazetteer": "geocode",
+    "GeocodeCache": "geocode",
+    "Geocoder": "geocode",
+    "RemoteGeocoder": "geocode",
+    "OTHER_LABEL": "tweet_model",
+    "TweetRecord": "tweet_model",
+    "label_of": "tweet_model",
+    "parse_tweet": "tweet_model",
+    "to_flat_dict": "tweet_model",
+}
+
+_SUBMODULES = ("atomic", "bayes", "cli", "errors", "evaluation", "features", "geocode", "tweet_model")
+
+__all__ = sorted(_SOURCES) + ["__version__"]
+
+
+def __getattr__(name: str):
+    """Import a public name, or a submodule not yet imported, on first use."""
+    if name in _SOURCES:
+        value = getattr(__import__(_SOURCES[name], globals(), None, [name], 1), name)
+    elif name in _SUBMODULES:
+        value = __import__(name, globals(), None, ["__name__"], 1)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SOURCES})

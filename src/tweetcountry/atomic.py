@@ -50,7 +50,9 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
         with open(target, "w", encoding="utf-8") as handle:
             yield handle
         return
-    target = target.resolve()
+    # realpath, not Path.resolve: on Python before 3.13, resolve raises
+    # RuntimeError on a symlink loop, where open below raises ELOOP.
+    target = Path(os.path.realpath(target))
     tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
         handle = open(tmp, "x", encoding="utf-8")

@@ -24,38 +24,10 @@ from typing import Any, Callable, Iterator
 
 from . import errors
 from .atomic import open_atomic
-from .bayes import (
-    load_model,
-    log_posterior,
-    save_model,
-    train,
-)
 # The exit codes are re-exported here, where callers of main look for them.
 from .errors import EXIT_GEOCODER, EXIT_INPUT, EXIT_MODEL  # noqa: F401
 from .errors import MalformedInput, ResolverFailure, TweetCountryError
-from .evaluation import (
-    ABLATION_PRESETS,
-    DEFAULT_MIN_COUNT,
-    FOLD_ORIENTATIONS,
-    REPORT_KIND_SETS,
-    ablate,
-    config_digest,
-    cross_validate,
-    default_region,
-    diagnostic_tags,
-    kinds_label,
-    load_labeled_ndjson,
-    load_region,
-    parse_kinds_label,
-    per_country_report,
-    write_ablation_csv,
-    write_ablation_json,
-    write_evaluation_csv,
-    write_evaluation_json,
-    write_per_country_csv,
-    write_per_country_json,
-)
-from .features import ALL_KINDS, FeatureKind, extract_features
+from .features import ALL_KINDS, FeatureKind, extract_features, kinds_label, parse_kinds_label
 from .geocode import (
     GeocodeCache,
     Geocoder,
@@ -66,7 +38,10 @@ from .geocode import (
     load_reverse_points,
 )
 from .tweet_model import (
+    DEFAULT_MIN_COUNT,
+    FOLD_ORIENTATIONS,
     TweetRecord,
+    config_digest,
     integer,
     label_of,
     number,
@@ -75,6 +50,10 @@ from .tweet_model import (
     table_lines,
     to_flat_dict,
 )
+
+# bayes and evaluation are imported by the handlers that use them, so label,
+# the cache actions and --help never load them. A handler looks each name up
+# when it runs, so it calls whatever the module holds then (a tracer's span).
 
 EXIT_OK = 0
 
@@ -217,7 +196,9 @@ def _check_target(path: str) -> None:
     """Raise OSError naming path unless its directory exists and path is not
     a directory."""
     try:
-        target = Path(path).resolve()
+        # realpath, not Path.resolve, which raises RuntimeError on a symlink
+        # loop before Python 3.13; os.stat below raises ELOOP.
+        target = Path(os.path.realpath(path))
         if target.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if not stat.S_ISDIR(os.stat(target.parent).st_mode):
@@ -291,6 +272,9 @@ def cmd_label(cfg: SimpleNamespace) -> dict:
 
 def cmd_train(cfg: SimpleNamespace) -> dict:
     """Fit a model on a labeled NDJSON file and write it as JSON."""
+    from .bayes import save_model, train
+    from .evaluation import load_labeled_ndjson
+
     _require_paths(cfg, "input", "model")
     geocoder = build_geocoder(cfg)
     data = load_labeled_ndjson(cfg.input)
@@ -308,6 +292,9 @@ def cmd_train(cfg: SimpleNamespace) -> dict:
 
 def cmd_classify(cfg: SimpleNamespace) -> dict:
     """Predict a country per input tweet; one output line per parsed tweet."""
+    from .bayes import load_model, log_posterior
+    from .evaluation import diagnostic_tags
+
     _require_paths(cfg, "input", "output", "model")
     model = load_model(cfg.model)
     trained_config = model.config or {}
@@ -344,6 +331,13 @@ def cmd_classify(cfg: SimpleNamespace) -> dict:
 
 def cmd_evaluate(cfg: SimpleNamespace) -> dict:
     """Seeded k-fold cross-validation on a labeled NDJSON file."""
+    from .evaluation import (
+        cross_validate,
+        load_labeled_ndjson,
+        write_evaluation_csv,
+        write_evaluation_json,
+    )
+
     _require_paths(cfg, "input")
     geocoder = build_geocoder(cfg)
     data = load_labeled_ndjson(cfg.input)
@@ -377,6 +371,8 @@ def _parse_kind_sets(text: str) -> list[tuple[FeatureKind, ...]]:
 
 
 def _ablation_subsets(cfg: SimpleNamespace):
+    from .evaluation import ABLATION_PRESETS
+
     if cfg.preset and cfg.subsets:
         raise ValueError("give either --preset or --subsets, not both")
     if cfg.subsets:
@@ -390,6 +386,8 @@ def _ablation_subsets(cfg: SimpleNamespace):
 
 def cmd_ablate(cfg: SimpleNamespace) -> dict:
     """Cross-validate a grid of feature subsets against identical folds."""
+    from .evaluation import ablate, load_labeled_ndjson, write_ablation_csv, write_ablation_json
+
     _require_paths(cfg, "input")
     geocoder = build_geocoder(cfg)
     data = load_labeled_ndjson(cfg.input)
@@ -416,6 +414,16 @@ def cmd_ablate(cfg: SimpleNamespace) -> dict:
 
 def cmd_report(cfg: SimpleNamespace) -> dict:
     """Per-country accuracy table with summary and region rows."""
+    from .evaluation import (
+        REPORT_KIND_SETS,
+        default_region,
+        load_labeled_ndjson,
+        load_region,
+        per_country_report,
+        write_per_country_csv,
+        write_per_country_json,
+    )
+
     _require_paths(cfg, "input")
     geocoder = build_geocoder(cfg)
     train_data = load_labeled_ndjson(cfg.input)

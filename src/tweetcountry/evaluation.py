@@ -11,8 +11,6 @@ configuration and its SHA-256 so artifacts are reproducible byte for byte.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -28,14 +26,21 @@ from .features import (
     FeatureKind,
     FeatureVector,
     extract_features,
-    kind_from_name,
+    kinds_label,
     ordered_kinds,
+    parse_kinds_label,  # noqa: F401
 )
+# kinds_label, parse_kinds_label, config_digest, FOLD_ORIENTATIONS and
+# DEFAULT_MIN_COUNT live in modules every command loads, so parsing and
+# resolving a config never loads this one; they stay importable from here.
 from .tweet_model import (
+    DEFAULT_MIN_COUNT,
+    FOLD_ORIENTATIONS,
     OTHER_LABEL,
     TweetRecord,
     ValueClass,
     bundled_data,
+    config_digest,
     decode_object,
     is_country_code,
     read_ndjson,
@@ -47,11 +52,6 @@ from .tweet_model import (
 # label, train and classify never need them.
 if TYPE_CHECKING:
     from fractions import Fraction
-
-DEFAULT_MIN_COUNT = 15
-
-# How a fold splits the data: train on the other k-1 folds, or on this one.
-FOLD_ORIENTATIONS = ("standard", "inverted")
 
 LIMITED_INFORMATION = "LIMITED_INFORMATION"
 BIG_CLASS = "BIG_CLASS"
@@ -85,24 +85,6 @@ REPORT_KIND_SETS: tuple[tuple[FeatureKind, ...], ...] = (
     (_K.LOCATION, _K.TIMEZONE, _K.TWEET_LANGUAGE),
     (_K.LOCATION, _K.TIMEZONE, _K.TWEET_LANGUAGE, _K.GEOPARSED),
 )
-
-
-def kinds_label(kinds: Iterable[FeatureKind]) -> str:
-    return "+".join(kind.value for kind in ordered_kinds(kinds))
-
-
-def parse_kinds_label(text: str) -> tuple[FeatureKind, ...]:
-    """Inverse of kinds_label, accepting any order, e.g. "timezone+location"."""
-    names = [part.strip() for part in text.split("+") if part.strip()]
-    if not names:
-        raise ValueError("empty feature kind list")
-    return ordered_kinds(kind_from_name(name) for name in names)
-
-
-def config_digest(config: dict) -> str:
-    """SHA-256 of the canonical JSON encoding of a config echo."""
-    canonical = json.dumps(config, ensure_ascii=False, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def fraction_json(value: Fraction) -> dict:

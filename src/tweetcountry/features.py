@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import GeoparserFailure, InvalidQuery, RemoteUnavailable, warn
 from .tweet_model import TweetRecord
@@ -47,6 +47,18 @@ def ordered_kinds(kinds) -> tuple[FeatureKind, ...]:
     """Deduplicate and sort kinds into the fixed scoring order."""
     wanted = set(kinds)
     return tuple(kind for kind in FeatureKind if kind in wanted)
+
+
+def kinds_label(kinds: Iterable[FeatureKind]) -> str:
+    return "+".join(kind.value for kind in ordered_kinds(kinds))
+
+
+def parse_kinds_label(text: str) -> tuple[FeatureKind, ...]:
+    """Inverse of kinds_label, accepting any order, e.g. "timezone+location"."""
+    names = [part.strip() for part in text.split("+") if part.strip()]
+    if not names:
+        raise ValueError("empty feature kind list")
+    return ordered_kinds(kind_from_name(name) for name in names)
 
 
 def normalize_place(text: str) -> str:

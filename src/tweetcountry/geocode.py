@@ -7,9 +7,9 @@ never cached. The cache file is append-only TSV, last entry per key wins.
 
 from __future__ import annotations
 
+import _thread
 import math
 import os
-import threading
 import time
 from bisect import bisect_left, bisect_right
 from pathlib import Path
@@ -205,7 +205,8 @@ class GeocodeCache:
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
         self._entries: dict[str, CacheEntry] = {}
-        self._lock = threading.Lock()
+        # threading.Lock's own type, without importing threading.
+        self._lock = _thread.allocate_lock()
         self.hits = 0
         self.misses = 0
         # Inside ``with`` (_hold), the append descriptor the first put opened.
@@ -474,8 +475,9 @@ def reverse_cache_key(lat: float, lon: float) -> str:
 class Geocoder:
     """Cached, gazetteer-first forward and reverse country resolution.
 
-    The remote backend is optional; at most ``max_in_flight`` remote calls
-    run concurrently. Remote answers (including definite misses) are cached;
+    The remote backend is optional and given here, where its
+    ``max_in_flight`` slots are made: at most that many remote calls run
+    concurrently. Remote answers (including definite misses) are cached;
     RemoteUnavailable is propagated and never cached.
     """
 
@@ -493,7 +495,12 @@ class Geocoder:
         self.cache = cache if cache is not None else GeocodeCache()
         self.remote = remote
         self.reverse_index = reverse_index
-        self._remote_slots = threading.BoundedSemaphore(max_in_flight)
+        # Only remote calls take a slot, so a run without a backend never
+        # imports threading.
+        if remote is not None:
+            import threading
+
+            self._remote_slots = threading.BoundedSemaphore(max_in_flight)
 
     def forward(self, query: str) -> str | None:
         """Resolve free-text location to a country code, or None for a miss."""

@@ -6,10 +6,15 @@ streaming API (``user.location``, ``user.time_zone``, GeoJSON ``coordinates``,
 (``user_location``, ``time_zone``, ``utc_offset_seconds``, ``tweet_language``,
 ``user_language``, ``lon``/``lat``, ``place_country_code``). When a record
 carries both spellings of a field, the flattened key wins.
+
+It also holds what every command shares below the CLI: line tables, number
+parsers, bundled data files, the digest of a resolved configuration, and the
+fold orientations and report row cutoff a configuration is checked against.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections import namedtuple
@@ -24,6 +29,11 @@ from .errors import MalformedInput, RemoteUnavailable, ResolverFailure
 OTHER_LABEL = "ZZ"
 
 UTC_OFFSET_LIMIT = 50400  # widest real-world offset is +-14 hours
+
+DEFAULT_MIN_COUNT = 15
+
+# How a fold splits the data: train on the other k-1 folds, or on this one.
+FOLD_ORIENTATIONS = ("standard", "inverted")
 
 
 def _shown(value: Any) -> str:
@@ -440,6 +450,12 @@ def number(text: str) -> float:
     if "_" in text:
         raise ValueError(f"invalid number: {text!r}")
     return float(text)
+
+
+def config_digest(config: dict) -> str:
+    """SHA-256 of the canonical JSON encoding of a config echo."""
+    canonical = json.dumps(config, ensure_ascii=False, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def bundled_data(name: str) -> bytes:

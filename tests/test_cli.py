@@ -5,17 +5,20 @@ from __future__ import annotations
 import argparse
 import builtins
 import csv
+import errno
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import tweetcountry
-from tweetcountry import bayes, cli
+from tweetcountry import bayes, cli, evaluation
 from tweetcountry.bayes import load_model, save_model
 from tweetcountry.cli import (
     CONFIG_FIELDS,
@@ -1234,6 +1237,110 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+def test_import_loads_no_submodule():
+    env = {**os.environ, "PYTHONPATH": str(Path(tweetcountry.__file__).parents[1])}
+    result = subprocess.run(
+        [
+            sys.executable, "-S", "-c",
+            "import sys, tweetcountry\n"
+            "print(sorted(name for name in sys.modules if name.startswith('tweetcountry.')))\n"
+            "print(tweetcountry.evaluation.__name__)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    # A submodule is still an attribute of the package, imported on first use.
+    assert result.stdout == "[]\ntweetcountry.evaluation\n"
+
+
+# The public constants, which name no module of their own, and the module
+# that defines each.
+_CONSTANT_OWNERS = {
+    "ABLATION_PRESETS": "evaluation",
+    "ALL_KINDS": "features",
+    "FeatureVector": "features",
+    "OTHER_LABEL": "tweet_model",
+}
+
+
+def test_public_names_are_the_objects_their_modules_define():
+    for name in tweetcountry.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(tweetcountry, name)
+        owner = f"tweetcountry.{_CONSTANT_OWNERS[name]}" if name in _CONSTANT_OWNERS else value.__module__
+        assert value is getattr(importlib.import_module(owner), name), name
+
+
+def test_dir_lists_every_public_name():
+    assert set(tweetcountry.__all__) <= set(dir(tweetcountry))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from tweetcountry import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(tweetcountry.__all__)
+    assert all(namespace[name] is getattr(tweetcountry, name) for name in namespace)
+
+
+def test_unknown_package_attribute_fails_like_a_plain_module():
+    with pytest.raises(AttributeError) as plain:
+        types.ModuleType("tweetcountry").no_such_name
+    with pytest.raises(AttributeError) as lazy:
+        tweetcountry.no_such_name
+    assert str(lazy.value) == str(plain.value)
+    assert not hasattr(tweetcountry, "no_such_name")
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (bayes, "train", ["train", "--input", "labeled.ndjson", "--model", "m.json"]),
+        (bayes, "load_model", ["classify", "--input", "labeled.ndjson", "--model", "model.json", "--output", "o"]),
+        (evaluation, "load_labeled_ndjson", ["train", "--input", "labeled.ndjson", "--model", "m.json"]),
+        (evaluation, "load_labeled_ndjson", ["report", "--input", "labeled.ndjson"]),
+        (evaluation, "diagnostic_tags", ["classify", "--input", "labeled.ndjson", "--model", "model.json", "--output", "o"]),
+    ],
+    ids=lambda value: value.__name__.rpartition(".")[2] if isinstance(value, types.ModuleType) else None,
+)
+def test_handler_calls_what_the_module_holds_when_it_runs(
+    tmp_path, labeled_file, model_file, monkeypatch, capsys, module, name, argv
+):
+    # A tracer wraps bayes and evaluation functions after cli is imported.
+    monkeypatch.chdir(tmp_path)
+    real, calls = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
+    assert main(argv) == EXIT_OK
+    assert calls
+    assert read_summary(capsys)["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["label", "--input", "raw.ndjson", "--output", "a/x.json"],
+        ["train", "--input", "labeled.ndjson", "--model", "a/x.json"],
+        ["classify", "--input", "raw.ndjson", "--model", "model.json", "--output", "a/x.json"],
+        ["ablate", "--input", "labeled.ndjson", "--k", "2", "--subsets", "timezone", "--report-json", "a/x.json"],
+    ],
+    ids=_command_name,
+)
+def test_target_inside_a_symlink_loop_is_an_input_error(tmp_path, labeled_file, model_file, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_raw_corpus(tmp_path / "raw.ndjson")
+    (tmp_path / "a").symlink_to("b")
+    (tmp_path / "b").symlink_to("a")
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'a/x.json'\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "tweetcountry", "--help"],
@@ -1264,27 +1371,36 @@ def test_cli_warning_goes_to_stderr_in_its_format(tmp_path):
     assert json.loads(result.stdout)["entries"] == 1
 
 
-# Standard-library modules a command leaves unimported; each costs
-# milliseconds at every start. No command imports dataclasses (with inspect,
-# ast and dis), secrets or datetime (cache entries are stamped from
-# time.time_ns), and logging loads only for a warning. Statistics, fractions
-# and decimal load only to evaluate, random only to assign folds.
+# Modules a command leaves unimported; each costs milliseconds at every
+# start. No command imports dataclasses (with inspect, ast and dis), secrets
+# or datetime (cache entries are stamped from time.time_ns), and logging
+# loads only for a warning. Statistics, fractions and decimal load only to
+# evaluate, random only to assign folds, threading only for a remote
+# geocoder. The package's bayes and evaluation load only for the commands
+# that train, score or evaluate.
 _NEVER = ("dataclasses", "inspect", "secrets", "datetime", "logging")
 _EVALUATION = ("statistics", "fractions", "decimal")
+_SCORING = ("tweetcountry.bayes", "tweetcountry.evaluation")
+_GEOCODING_ONLY = _NEVER + _EVALUATION + ("random", "threading") + _SCORING
 _UNUSED_MODULES = {
-    "label": _NEVER + _EVALUATION + ("random",),
-    "train": _NEVER + _EVALUATION + ("random",),
-    "classify": _NEVER + _EVALUATION + ("random",),
+    "label": _GEOCODING_ONLY,
+    "train": _NEVER + _EVALUATION + ("random", "threading"),
+    "classify": _NEVER + _EVALUATION + ("random", "threading"),
     "evaluate": _NEVER,
     "ablate": _NEVER,
     "report": _NEVER,
-    "cache stats": _NEVER + _EVALUATION + ("random",),
+    "cache stats": _GEOCODING_ONLY,
+    "cache compact": _GEOCODING_ONLY,
+    "--help": _GEOCODING_ONLY,
 }
 # argv: the comma-separated modules to look for, then the command line.
 _MODULES_PROBE = (
     "import sys\n"
     "from tweetcountry.cli import main\n"
-    "code = main(sys.argv[2:])\n"
+    "try:\n"
+    "    code = main(sys.argv[2:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
     "print(sorted(set(sys.argv[1].split(',')) & set(sys.modules)), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
@@ -1300,6 +1416,8 @@ _MODULES_PROBE = (
         ["ablate", "--input", "labeled.ndjson", "--k", "2", "--subsets", "timezone", "--report-csv", "a.csv"],
         ["report", "--input", "labeled.ndjson", "--report-json", "r.json"],
         ["cache", "stats"],
+        ["cache", "compact"],
+        ["--help"],
     ],
     ids=_command_name,
 )
