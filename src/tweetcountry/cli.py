@@ -44,11 +44,11 @@ from .tweet_model import (
     config_digest,
     integer,
     label_of,
+    labeled_line,
     number,
     parse_tweet,
     read_ndjson,
     table_lines,
-    to_flat_dict,
 )
 
 # bayes and evaluation are imported by the handlers that use them, so label,
@@ -262,10 +262,7 @@ def cmd_label(cfg: SimpleNamespace) -> dict:
             if country is None:
                 totals["skipped"] += 1
                 continue
-            obj = to_flat_dict(record)
-            obj["country"] = country
-            obj["config_sha256"] = cfg.digest
-            sink.write(_dump_line(obj) + "\n")
+            sink.write(labeled_line(record, country, cfg.digest))
             totals["labeled"] += 1
     return {**totals, "output": cfg.output}
 

@@ -387,9 +387,10 @@ class ReversePointIndex:
             if not -180.0 <= point.lon <= 180.0:
                 raise ValueError(f"longitude out of range: {point.lon}")
         self.max_distance_km = max_distance_km
-        # Point positions in latitude order, and those latitudes, for the band search.
-        self._by_lat = sorted(range(len(self._points)), key=lambda i: self._points[i].lat)
-        self._lats = [self._points[i].lat for i in self._by_lat]
+        # (list position, point) pairs in latitude order, and those latitudes,
+        # for the band search.
+        self._by_lat = sorted(enumerate(self._points), key=lambda pair: pair[1].lat)
+        self._lats = [point.lat for _, point in self._by_lat]
 
     def __len__(self) -> int:
         return len(self._points)
@@ -406,8 +407,9 @@ class ReversePointIndex:
         the equator, so sin^2(d / 2R) >= cos^2(|lat| + reach) * sin^2(dlon / 2).
         The longitude cut applies only when that band stays off the poles and
         the ceiling's angle is below pi; a NaN query or ceiling measures the
-        whole band. Candidates are visited in list order, so the answer equals
-        a scan over every point.
+        whole band. Candidates are visited in latitude order; a tie goes to
+        the later point in the list, so the answer equals a scan over every
+        point.
         """
         best: str | None = None
         best_distance = self.max_distance_km
@@ -423,14 +425,15 @@ class ReversePointIndex:
             if limit < 1.0:
                 lon_reach = math.degrees(2 * math.asin(limit)) + _BAND_MARGIN_DEG
         lon_far = 360.0 - lon_reach
-        for index in sorted(band):
-            point = self._points[index]
+        best_index = -1
+        for index, point in band:
             if lon_reach < abs(lon - point.lon) < lon_far:
                 continue
             distance = haversine_km(lat, lon, point.lat, point.lon)
-            if distance <= best_distance:
+            if distance < best_distance or (distance == best_distance and index > best_index):
                 best = point.country
                 best_distance = distance
+                best_index = index
         return best
 
 

@@ -14,16 +14,26 @@ fold orientations and report row cutoff a configuration is checked against.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import namedtuple
 from collections.abc import Mapping
+from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import MalformedInput, RemoteUnavailable, ResolverFailure
+
+# The interpreter's built-in SHA-256, as the standard library's random takes
+# sha512: hashlib would load OpenSSL's _hashlib, several milliseconds at start.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 # Label assigned to everything outside the kept region when collapsing.
 OTHER_LABEL = "ZZ"
@@ -455,7 +465,7 @@ def number(text: str) -> float:
 def config_digest(config: dict) -> str:
     """SHA-256 of the canonical JSON encoding of a config echo."""
     canonical = json.dumps(config, ensure_ascii=False, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def bundled_data(name: str) -> bytes:
@@ -490,6 +500,47 @@ def to_flat_dict(tweet: TweetRecord) -> dict[str, Any]:
     if tweet.place_country_code is not None:
         out["place_country_code"] = tweet.place_country_code
     return out
+
+
+# The functions json's encoder applies, with ensure_ascii=False, to a string,
+# a float and an int.
+_quote = encode_basestring
+_float_text = float.__repr__
+_int_text = int.__repr__
+
+
+def labeled_line(tweet: TweetRecord, country: str, digest: str) -> str:
+    """The labeled NDJSON line of a record, "\\n" included: ``to_flat_dict``'s
+    keys plus "country" and "config_sha256", encoded as the CLI's line
+    encoder (``ensure_ascii=False, sort_keys=True``) encodes that dict.
+
+    The keys are written in sorted order, each value by the function the
+    encoder uses, so there is no dict, sort or encoder per line. It serves
+    records built by ``record_from_dict``, whose coordinates are finite
+    floats; ``test_labeled_line_matches_the_line_encoder`` in
+    tests/test_tweet_model.py pins it to ``to_flat_dict`` plus that encoder.
+    """
+    (tweet_id, text, user_location, time_zone, offset, tweet_language,
+     user_language, lon, lat, code) = tweet
+    parts = ['{"config_sha256": ', _quote(digest), ', "country": ', _quote(country),
+             ', "id": ', _quote(tweet_id)]
+    if lat is not None:
+        parts += (', "lat": ', _float_text(lat), ', "lon": ', _float_text(lon))
+    if code is not None:
+        parts += (', "place_country_code": ', _quote(code))
+    parts += (', "text": ', _quote(text))
+    if time_zone is not None:
+        parts += (', "time_zone": ', _quote(time_zone))
+    if tweet_language is not None:
+        parts += (', "tweet_language": ', _quote(tweet_language))
+    if user_language is not None:
+        parts += (', "user_language": ', _quote(user_language))
+    if user_location is not None:
+        parts += (', "user_location": ', _quote(user_location))
+    if offset is not None:
+        parts += (', "utc_offset_seconds": ', _int_text(offset))
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def label_of(tweet: TweetRecord, resolver=None) -> str | None:

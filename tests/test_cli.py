@@ -655,14 +655,14 @@ class TestCache:
         ]
         source.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
         if expected is RuntimeError:
-            real_to_flat_dict = cli.to_flat_dict
+            real_labeled_line = cli.labeled_line
 
-            def failing_to_flat_dict(record):
+            def failing_labeled_line(record, country, digest):
                 if record.id == "9":
                     raise RuntimeError("output failed")
-                return real_to_flat_dict(record)
+                return real_labeled_line(record, country, digest)
 
-            monkeypatch.setattr(cli, "to_flat_dict", failing_to_flat_dict)
+            monkeypatch.setattr(cli, "labeled_line", failing_labeled_line)
         argv = ["label", "--strict", "--input", str(source), "--output", str(tmp_path / "out"),
                 "--cache", str(cache_path)]
         before = sorted(os.listdir("/dev/fd"))
@@ -1100,14 +1100,17 @@ class TestRecordCommands:
         output.write_text("previous run\n", encoding="utf-8")
         before = sorted(os.listdir(tmp_path))
         written = []
+        # Each command's function that turns one record into its output line.
+        hooked = "labeled_line" if command == "label" else "_dump_line"
+        real_line = getattr(cli, hooked)
 
-        def fail_on_third_record(obj):
+        def fail_on_third_record(*line_args):
             if len(written) == 2:
                 raise RuntimeError("crash mid-run")
-            written.append(obj)
-            return json.dumps(obj)
+            written.append(line_args)
+            return real_line(*line_args)
 
-        monkeypatch.setattr(cli, "_dump_line", fail_on_third_record)
+        monkeypatch.setattr(cli, hooked, fail_on_third_record)
         with pytest.raises(RuntimeError, match="crash mid-run"):
             run_record_command(command, raw, output, model_file)
         assert len(written) == 2
@@ -1378,7 +1381,7 @@ def test_cli_warning_goes_to_stderr_in_its_format(tmp_path):
 # evaluate, random only to assign folds, threading only for a remote
 # geocoder. The package's bayes and evaluation load only for the commands
 # that train, score or evaluate.
-_NEVER = ("dataclasses", "inspect", "secrets", "datetime", "logging")
+_NEVER = ("dataclasses", "inspect", "secrets", "datetime", "logging", "hashlib", "_hashlib")
 _EVALUATION = ("statistics", "fractions", "decimal")
 _SCORING = ("tweetcountry.bayes", "tweetcountry.evaluation")
 _GEOCODING_ONLY = _NEVER + _EVALUATION + ("random", "threading") + _SCORING

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -355,6 +356,19 @@ class TestSummaries:
 
     def test_config_digest_stable_under_key_order(self):
         assert config_digest({"a": 1, "b": 2}) == config_digest({"b": 2, "a": 1})
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {},
+            {"a": 1, "b": 2},
+            {"region_name": "Europa", "input": "tweets.ndjson"},
+            {"region_name": "Éire", "gazetteer": "städte.tsv", "kinds": "日本", "x": "\U0001f600"},
+        ],
+    )
+    def test_config_digest_is_sha256_of_the_canonical_json(self, config):
+        canonical = json.dumps(config, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        assert config_digest(config) == hashlib.sha256(canonical).hexdigest()
 
 
 class TestRegion:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tweetcountry import cli
 from tweetcountry.errors import MalformedInput, RemoteUnavailable, ResolverFailure
 from tweetcountry.tweet_model import (
     OTHER_LABEL,
@@ -16,6 +17,7 @@ from tweetcountry.tweet_model import (
     decode_object,
     is_country_code,
     label_of,
+    labeled_line,
     parse_tweet,
     record_from_dict,
     to_flat_dict,
@@ -277,6 +279,34 @@ records = st.builds(
 def test_flat_dict_round_trip(tweet):
     again = parse_tweet(json.dumps(to_flat_dict(tweet)))
     assert again == tweet
+
+
+@settings(max_examples=300)
+@given(tweet_dicts, strings, strings)
+@example({"lon": -0.0, "lat": 5e-324}, "NL", "0" * 64)
+@example({"lon": 1e-05, "lat": -1e-05}, "NL", "0" * 64)
+@example({"lon": 180.0, "lat": 90.0, "utc_offset_seconds": 50400}, "NL", "0" * 64)
+@example({"lon": -180.0, "lat": -90.0, "utc_offset_seconds": -50400}, "NL", "0" * 64)
+@example(
+    {
+        "id": 'q"uote',
+        "text": "back\\slash \x00 \x7f \u2028 \U0001f600",
+        "user_location": "\x00\x1f",
+        "time_zone": "\u2028\u2029",
+        "tweet_language": "\x7f",
+        "user_language": '"',
+        "place_country_code": "nl",
+    },
+    '\\"',
+    "\U0001f600\x00",
+)
+def test_labeled_line_matches_the_line_encoder(obj, country, digest):
+    try:
+        record = record_from_dict(obj)
+    except MalformedInput:
+        return
+    expected = cli._dump_line({**to_flat_dict(record), "country": country, "config_sha256": digest}) + "\n"
+    assert labeled_line(record, country, digest) == expected
 
 
 class FixedResolver:
