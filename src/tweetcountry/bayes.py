@@ -7,9 +7,10 @@ Out-of-vocabulary values are skipped for every class alike. With alpha 0 an
 unseen pairing scores -inf; when every class is -inf, ranking falls back to
 priors alone. Exact ties rank the lexicographically smallest country first.
 
-Scoring reads the model's compiled form (``NaiveBayesModel.compiled``). Per
-kind it holds a base row, the zero-count term of each class, and per value
-the terms of the classes that counted it. A tweet's scores start from the
+Scoring reads the model's compiled form (``NaiveBayesModel.compiled``),
+built whole on first use. Per kind it holds a base row, the zero-count term
+of each class, and per vocabulary value the terms of the classes that
+counted it and its majority class. A tweet's scores start from the
 prior row plus the base rows of its in-vocabulary kinds, a sum cached per
 kind set; only the classes that counted one of its values are then summed
 again, term by term. Every class adds its terms in enabled-kind order, the
@@ -94,10 +95,9 @@ class CompiledModel:
     The term of a class for a value is log((count + alpha) / (kind_total +
     alpha * vocabulary_size)). Per kind, the base row holds it for a count of
     0, -inf where alpha is 0; a value's terms hold it only for the classes
-    that counted the value. Terms are built the first time a vocabulary
-    value is scored, so loading a model costs nothing extra, and kept with
-    the value's majority class. Out-of-vocabulary values are not kept, so
-    the caches never outgrow the vocabulary.
+    that counted the value. Every vocabulary value gets its terms and its
+    majority class when the model is compiled; the vocabulary alone decides
+    what is in vocabulary, so a counted value outside it gets neither.
     """
 
     def __init__(self, model: NaiveBayesModel) -> None:
@@ -107,11 +107,8 @@ class CompiledModel:
         self.uniform_prior = [-math.log(len(self.classes))] * len(self.classes)
         # Largest class first; the sort is stable, so ties stay in code order.
         self.prior_order = sorted(self.classes, key=lambda country: -model.class_count[country])
-        self._alpha = alpha = model.alpha
-        self._vocab: dict[FeatureKind, set[str]] = {}
-        self._denominators: dict[FeatureKind, list[float]] = {}
+        alpha = model.alpha
         self._base: dict[FeatureKind, list[float]] = {}
-        self._postings: dict[FeatureKind, dict[str, list[tuple[int, int]]]] = {}
         # In enabled-kind order, which is the order scores add their terms in.
         self._terms: dict[FeatureKind, dict[str, dict[int, float]]] = {}
         self._majority: dict[FeatureKind, dict[str, str | None]] = {}
@@ -121,37 +118,25 @@ class CompiledModel:
         self._start_rankings: dict[_StartKey, list[int]] = {}
         for kind in model.enabled_kinds:
             vocab = model.vocabulary.get(kind) or set()
-            denominators = [
-                model.kind_total.get(country, {}).get(kind, 0) + alpha * len(vocab)
-                for country in self.classes
-            ]
-            # A denominator is 0 only when the vocabulary is empty; then no row is read.
-            self._base[kind] = [
-                -math.inf if alpha == 0 or denominator == 0 else math.log(alpha / denominator)
-                for denominator in denominators
-            ]
-            postings: dict[str, list[tuple[int, int]]] = {}
+            base = self._base[kind] = []
+            terms: dict[str, dict[int, float]] = {value: {} for value in vocab}
+            majority: dict[str, str | None] = dict.fromkeys(vocab)
+            majority_count: dict[str, int] = {}
             for index, country in enumerate(self.classes):
+                denominator = model.kind_total.get(country, {}).get(kind, 0) + alpha * len(vocab)
+                # A denominator is 0 only when the vocabulary is empty; then no row is read.
+                base.append(
+                    -math.inf if alpha == 0 or denominator == 0 else math.log(alpha / denominator)
+                )
                 for value, count in model.value_count.get(country, {}).get(kind, {}).items():
-                    if count:  # model_from_dict accepts explicit zero counts
-                        postings.setdefault(value, []).append((index, count))
-            self._vocab[kind] = vocab
-            self._denominators[kind] = denominators
-            self._postings[kind] = postings
-            self._terms[kind] = {}
-            self._majority[kind] = {}
-
-    def _build(self, kind: FeatureKind, value: str) -> dict[int, float]:
-        """Build and cache the terms and the majority class of a vocabulary value."""
-        terms, majority, majority_count = {}, None, 0
-        denominators = self._denominators[kind]
-        for index, count in self._postings[kind].get(value, ()):
-            terms[index] = math.log((count + self._alpha) / denominators[index])
-            if count > majority_count:
-                majority, majority_count = self.classes[index], count
-        self._terms[kind][value] = terms
-        self._majority[kind][value] = majority
-        return terms
+                    # model_from_dict accepts explicit zero counts
+                    if count and value in terms:
+                        terms[value][index] = math.log((count + alpha) / denominator)
+                        # Classes come in code order, so a tie keeps the smaller code.
+                        if count > majority_count.get(value, 0):
+                            majority[value], majority_count[value] = country, count
+            self._terms[kind] = terms
+            self._majority[kind] = majority
 
     def _scores(
         self, vector: FeatureVector, uniform_priors: bool
@@ -163,14 +148,9 @@ class CompiledModel:
         kinds = []
         parts = []
         for kind, cache in self._terms.items():
-            value = vector.get(kind)
-            if value is None:
-                continue
-            terms = cache.get(value)
+            terms = cache.get(vector.get(kind))
             if terms is None:
-                if value not in self._vocab[kind]:
-                    continue
-                terms = self._build(kind, value)
+                continue
             kinds.append(kind)
             parts.append((terms, self._base[kind]))
         prior = self.uniform_prior if uniform_priors else self.prior
@@ -222,14 +202,7 @@ class CompiledModel:
 
         None for an out-of-vocabulary value and for a kind the model does not enable.
         """
-        majorities = self._majority.get(kind)
-        if majorities is None:
-            return None
-        if value not in majorities:
-            if value not in self._vocab[kind]:
-                return None
-            self._build(kind, value)
-        return majorities[value]
+        return self._majority.get(kind, {}).get(value)
 
 
 def train(
@@ -240,7 +213,8 @@ def train(
     """Count up a model from (feature vector, country label) pairs.
 
     Entries of disabled kinds are ignored (logged once). Labels must be
-    two-letter uppercase codes; an empty example list raises EmptyTrainingSet.
+    two-letter uppercase codes; an empty example list raises EmptyTrainingSet,
+    and no enabled kind raises ValueError.
     """
     pairs = list(examples)
     if not pairs:
@@ -248,6 +222,8 @@ def train(
     if not 0 <= alpha <= sys.float_info.max:
         raise ValueError(f"alpha must be a finite non-negative number, got {alpha!r}")
     kinds = ordered_kinds(enabled_kinds)
+    if not kinds:
+        raise ValueError("enabled kinds must be non-empty")
     enabled = set(kinds)
 
     class_count: dict[str, int] = {}

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import tweetcountry
 from tweetcountry.bayes import (
     MODEL_SCHEMA_VERSION,
+    NaiveBayesModel,
     classify,
     load_model,
     load_model_config,
@@ -79,6 +80,12 @@ class TestTrain:
         assert [(record.name, record.levelname, record.getMessage()) for record in caplog.records] == [
             ("tweetcountry.bayes", "DEBUG", "ignored 3 feature entries of disabled kinds")
         ]
+
+    # Names are not kinds, so they enable nothing either.
+    @pytest.mark.parametrize("kinds", [(), ["timezone", "location"]], ids=["empty", "names"])
+    def test_no_enabled_kind(self, tiny_examples, kinds):
+        with pytest.raises(ValueError, match="enabled kinds must be non-empty"):
+            train(tiny_examples, enabled_kinds=kinds)
 
     def test_enabled_kinds_canonical_order(self, tiny_examples):
         model = train(tiny_examples, enabled_kinds=(K.USER_LANGUAGE, K.TIMEZONE))
@@ -227,7 +234,7 @@ kind_subsets = st.sets(st.sampled_from(list(ALL_KINDS)), min_size=1)
 
 def assert_scored_like_reference(model, scored):
     """Every vector in both prior modes, and every value's majority class, as the reference."""
-    # twice over, so the second pass reads the terms and base sums the first one built
+    # twice over, so the second pass reads the base sums the first one cached
     for _ in range(2):
         for vector in scored + [{}]:
             for uniform in (False, True):
@@ -402,18 +409,61 @@ class TestCompiledScoring:
         assert majority_class(model, K.LOCATION, "shared") is None
 
     def test_out_of_vocabulary_values_are_not_kept(self, tiny_model):
+        compiled = tiny_model.compiled
+        vocabulary = {kind: tiny_model.vocabulary[kind] for kind in tiny_model.enabled_kinds}
+        assert {kind: set(terms) for kind, terms in compiled._terms.items()} == vocabulary
+        assert {kind: set(majority) for kind, majority in compiled._majority.items()} == vocabulary
+        assert compiled._majority[K.TIMEZONE] == {"amsterdam": "NL", "london": "GB"}
+        terms, majority = copy.deepcopy(compiled._terms), copy.deepcopy(compiled._majority)
         for i in range(50):
             log_posterior(tiny_model, {K.TIMEZONE: f"unseen {i}", K.LOCATION: f"unseen {i}"})
             assert majority_class(tiny_model, K.TIMEZONE, f"unseen {i}") is None
-        log_posterior(tiny_model, {K.TIMEZONE: "amsterdam"})
-        assert majority_class(tiny_model, K.TIMEZONE, "london") == "GB"
-        compiled = tiny_model.compiled
-        assert {kind: sorted(cache) for kind, cache in compiled._terms.items() if cache} == {
-            K.TIMEZONE: ["amsterdam", "london"]
-        }
-        assert {kind: cache for kind, cache in compiled._majority.items() if cache} == {
-            K.TIMEZONE: {"amsterdam": "NL", "london": "GB"}
-        }
+        assert compiled._terms == terms
+        assert compiled._majority == majority
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_hand_built_vocabulary_decides_what_is_in_vocabulary(self, alpha):
+        # Timezone v2 is in the vocabulary but no class counted it, so its base
+        # row is still added. Timezone v3 and user language v0 were counted but
+        # are not in the vocabulary, and location has none: all three are skipped.
+        model = NaiveBayesModel(
+            alpha=alpha,
+            enabled_kinds=(K.LOCATION, K.TIMEZONE, K.USER_LANGUAGE),
+            class_count={"AA": 3, "BB": 2, "CC": 1},
+            value_count={
+                "AA": {K.TIMEZONE: {"v0": 2, "v3": 1}, K.USER_LANGUAGE: {"v1": 3}},
+                "BB": {K.LOCATION: {"v0": 2}, K.TIMEZONE: {"v1": 2}, K.USER_LANGUAGE: {"v0": 2}},
+                "CC": {K.TIMEZONE: {"v1": 1}, K.USER_LANGUAGE: {"v1": 1}},
+            },
+            kind_total={
+                "AA": {K.TIMEZONE: 3, K.USER_LANGUAGE: 3},
+                "BB": {K.LOCATION: 2, K.TIMEZONE: 2, K.USER_LANGUAGE: 2},
+                "CC": {K.TIMEZONE: 1, K.USER_LANGUAGE: 1},
+            },
+            vocabulary={K.TIMEZONE: {"v0", "v1", "v2"}, K.USER_LANGUAGE: {"v1"}},
+        )
+        scored = all_scored + [
+            {K.TIMEZONE: "v2"},
+            {K.TIMEZONE: "v2", K.USER_LANGUAGE: "v1"},
+            {K.LOCATION: "v0", K.TIMEZONE: "v3", K.USER_LANGUAGE: "v0"},
+        ]
+        for vector in scored + [{}]:
+            for uniform in (False, True):
+                ranked = reference_log_posterior(model, vector, uniform_priors=uniform)
+                assert_same_ranking(log_posterior(model, vector, uniform_priors=uniform), ranked)
+                for top in range(1, len(ranked) + 2):
+                    assert_same_ranking(
+                        log_posterior(model, vector, uniform_priors=uniform, top=top), ranked[:top]
+                    )
+                assert classify(model, vector, uniform_priors=uniform) == ranked[0][0]
+        counted_outside = {(K.LOCATION, "v0"), (K.TIMEZONE, "v3"), (K.USER_LANGUAGE, "v0")}
+        for kind in ALL_KINDS:
+            for value in ["v0", "v1", "v2", "v3", "v4", "v5"]:
+                # The count scan of the reference does not read the vocabulary.
+                expected = None if (kind, value) in counted_outside else reference_majority(model, kind, value)
+                assert majority_class(model, kind, value) == expected
+        assert majority_class(model, K.TIMEZONE, "v1") == "BB"
+        assert majority_class(model, K.TIMEZONE, "v2") is None
 
     def test_compiled_form_is_not_part_of_the_model(self, tiny_model, tiny_examples, tmp_path):
         before = model_to_dict(tiny_model)

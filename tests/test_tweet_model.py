@@ -281,8 +281,9 @@ def test_flat_dict_round_trip(tweet):
     assert again == tweet
 
 
+# Few drawn dicts are valid records, so valid records are drawn directly too.
 @settings(max_examples=300)
-@given(tweet_dicts, strings, strings)
+@given(st.one_of(records, tweet_dicts), strings, strings)
 @example({"lon": -0.0, "lat": 5e-324}, "NL", "0" * 64)
 @example({"lon": 1e-05, "lat": -1e-05}, "NL", "0" * 64)
 @example({"lon": 180.0, "lat": 90.0, "utc_offset_seconds": 50400}, "NL", "0" * 64)
@@ -301,10 +302,13 @@ def test_flat_dict_round_trip(tweet):
     "\U0001f600\x00",
 )
 def test_labeled_line_matches_the_line_encoder(obj, country, digest):
-    try:
-        record = record_from_dict(obj)
-    except MalformedInput:
-        return
+    if isinstance(obj, TweetRecord):
+        record = obj
+    else:
+        try:
+            record = record_from_dict(obj)
+        except MalformedInput:
+            return
     expected = cli._dump_line({**to_flat_dict(record), "country": country, "config_sha256": digest}) + "\n"
     assert labeled_line(record, country, digest) == expected
 
