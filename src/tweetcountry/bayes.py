@@ -12,24 +12,25 @@ built whole on first use. Per kind it holds a base row, the zero-count term
 of each class, and per vocabulary value the terms of the classes that
 counted it and its majority class. A tweet's scores start from the
 prior row plus the base rows of its in-vocabulary kinds, a sum cached per
-kind set; only the classes that counted one of its values are then summed
-again, term by term. Every class adds its terms in enabled-kind order, the
-order of the formula, so the scores and rankings are bitwise equal to
-evaluating the formula class by class. Asked for only the first N classes,
-``log_posterior`` ranks just the classes a tweet's values touched and the
-first N others of the start sum's ranking, which is cached next to it.
+kind set with its ranking; only the classes that counted one of its values
+are then summed again, term by term. Every class adds its terms in
+enabled-kind order, the order of the formula, so the scores and rankings
+are bitwise equal to evaluating the formula class by class. No call copies
+the start row: ``classify`` compares the best touched class with the first
+untouched one of the start ranking, and ``log_posterior`` asked for the
+first N classes ranks just the touched ones and the first N untouched.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import sys
 from functools import cached_property
 from itertools import filterfalse, islice
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Container, Iterable
 
 from .atomic import write_json_atomic
 from .errors import CorruptModel, EmptyTrainingSet
@@ -112,10 +113,9 @@ class CompiledModel:
         # In enabled-kind order, which is the order scores add their terms in.
         self._terms: dict[FeatureKind, dict[str, dict[int, float]]] = {}
         self._majority: dict[FeatureKind, dict[str, str | None]] = {}
-        # (kinds, uniform_priors) -> prior row plus those kinds' base rows.
-        self._starts: dict[_StartKey, list[float]] = {}
-        # The same keys -> class indices by descending start score, ties in code order.
-        self._start_rankings: dict[_StartKey, list[int]] = {}
+        # (kinds, uniform_priors) -> prior row plus those kinds' base rows, and
+        # its class indices by descending score, ties in code order.
+        self._starts: dict[_StartKey, tuple[list[float], list[int]]] = {}
         for kind in model.enabled_kinds:
             vocab = model.vocabulary.get(kind) or set()
             base = self._base[kind] = []
@@ -139,63 +139,74 @@ class CompiledModel:
             self._majority[kind] = majority
 
     def _scores(
-        self, vector: FeatureVector, uniform_priors: bool
-    ) -> tuple[list[float], _StartKey, set[int]]:
-        """Every class's score in code order, the key of the start row the
-        scores began from, and the indices of the classes whose score left it.
-        Do not modify the returned list.
+        self,
+        vector: FeatureVector,
+        uniform_priors: bool,
+        kinds: Container[FeatureKind] | None = None,
+    ) -> tuple[list[float], list[int], Container[int], list[int], list[float]]:
+        """The start row the scores began from; its ranking, class indices by
+        descending start score, ties in code order; the indices of the classes
+        whose score left it, as a container and in ascending order; and their
+        scores in that order. Only the vector's values of ``kinds``, if given,
+        are scored. Do not modify the returned row, ranking or container.
         """
-        kinds = []
+        present = []
         parts = []
         for kind, cache in self._terms.items():
+            if kinds is not None and kind not in kinds:
+                continue
             terms = cache.get(vector.get(kind))
             if terms is None:
                 continue
-            kinds.append(kind)
+            present.append(kind)
             parts.append((terms, self._base[kind]))
         prior = self.uniform_prior if uniform_priors else self.prior
-        key = (tuple(kinds), uniform_priors)
-        start = self._starts.get(key)
-        if start is None:
+        key = (tuple(present), uniform_priors)
+        cached = self._starts.get(key)
+        if cached is None:
             start = prior
-            for kind in kinds:
-                start = list(map(operator.add, start, self._base[kind]))
-            self._starts[key] = start
-        touched = set().union(*[terms for terms, _ in parts])
-        if not touched:
-            return start, key, touched
+            for kind in present:
+                start = list(map(add, start, self._base[kind]))
+            ranking = sorted(range(len(start)), key=start.__getitem__, reverse=True)
+            cached = self._starts[key] = start, ranking
+        start, ranking = cached
+        if not parts:
+            return start, ranking, (), [], []
+        if len(parts) == 1:
+            # A value's terms are keyed in code order.
+            touched = parts[0][0]
+            moved = list(touched)
+        else:
+            touched = set().union(*[terms for terms, _ in parts])
+            moved = sorted(touched)
         # Only these classes differ from the start: sum each one again from its
         # prior, taking per kind its term or else its base entry, in kind order.
-        scores = start.copy()
-        for index in touched:
+        scores = []
+        for index in moved:
             score = prior[index]
             for terms, base in parts:
                 score += terms.get(index, base[index])
-            scores[index] = score
-        return scores, key, touched
+            scores.append(score)
+        return start, ranking, touched, moved, scores
 
     def _first(
         self, vector: FeatureVector, uniform_priors: bool, count: int
-    ) -> tuple[list[float], list[int]]:
-        """Every class's score, and the indices of the first ``count`` classes
-        by descending score, ties in code order.
+    ) -> list[tuple[int, float]]:
+        """The first ``count`` (class index, score) pairs by descending score,
+        ties in code order.
 
         Only the classes that the vector's values touched left their start
         score, so the first ``count`` are among those and the first ``count``
-        untouched classes of the start's own ranking, which is cached.
+        untouched classes of the start's own ranking.
         """
-        scores, key, touched = self._scores(vector, uniform_priors)
-        ranking = self._start_rankings.get(key)
-        if ranking is None:
-            start = self._starts[key]
-            ranking = sorted(range(len(start)), key=start.__getitem__, reverse=True)
-            self._start_rankings[key] = ranking
-        candidates = list(touched)
-        candidates.extend(islice(filterfalse(touched.__contains__, ranking), count))
+        start, ranking, touched, moved, scores = self._scores(vector, uniform_priors)
+        candidates = list(zip(moved, scores))
+        for index in islice(filterfalse(touched.__contains__, ranking), count):
+            candidates.append((index, start[index]))
         # Code order first; the stable sort by score then keeps ties in it.
-        candidates.sort()
-        candidates.sort(key=scores.__getitem__, reverse=True)
-        return scores, candidates[:count]
+        candidates.sort(key=itemgetter(0))
+        candidates.sort(key=itemgetter(1), reverse=True)
+        return candidates[:count]
 
     def majority(self, kind: FeatureKind, value: str) -> str | None:
         """The class with the highest count for the value; ties pick the smaller code.
@@ -233,9 +244,13 @@ def train(
     ignored = 0
 
     for vector, label in pairs:
-        if not is_country_code(label):
-            raise ValueError(f"invalid country label {label!r}")
-        class_count[label] = class_count.get(label, 0) + 1
+        # Only a label not counted yet needs the check; an unhashable one raises TypeError.
+        try:
+            class_count[label] += 1
+        except (KeyError, TypeError):
+            if not is_country_code(label):
+                raise ValueError(f"invalid country label {label!r}") from None
+            class_count[label] = 1
         per_kind = value_count.setdefault(label, {})
         totals = kind_total.setdefault(label, {})
         for kind, value in vector.items():
@@ -281,28 +296,44 @@ def log_posterior(
         raise ValueError(f"top must be at least 1, got {top!r}")
     compiled = model.compiled
     classes = compiled.classes
-    scores, first = compiled._first(vector, uniform_priors, len(classes) if top is None else top)
-    ranked = [(classes[index], scores[index]) for index in first]
+    first = compiled._first(vector, uniform_priors, len(classes) if top is None else top)
     # The first entry holds the highest score, so it is -inf only if every score is.
-    if ranked and ranked[0][1] == -math.inf:
+    if first[0][1] == -math.inf:
         fallback = classes if uniform_priors else compiled.prior_order
         return [(country, -math.inf) for country in fallback[:top]]
-    return ranked
+    return [(classes[index], score) for index, score in first]
 
 
 def classify(
-    model: NaiveBayesModel, vector: FeatureVector, *, uniform_priors: bool = False
+    model: NaiveBayesModel,
+    vector: FeatureVector,
+    *,
+    uniform_priors: bool = False,
+    kinds: Container[FeatureKind] | None = None,
 ) -> str:
     """The single best country for one feature vector: ``log_posterior``'s first entry.
 
-    The first maximum in code order is the class the stable sort ranks first.
+    With ``kinds``, only the vector's values of those kinds are scored, as if
+    the vector held no others. The best class is the best of two: the first
+    untouched class of the start ranking and the best touched one, ties to
+    the smaller class index.
     """
     compiled = model.compiled
-    scores = compiled._scores(vector, uniform_priors)[0]
-    best = max(scores)
+    start, ranking, touched, moved, scores = compiled._scores(vector, uniform_priors, kinds)
+    index, best = None, -math.inf
+    if len(moved) < len(start):
+        index = next(filterfalse(touched.__contains__, ranking))
+        best = start[index]
+    if scores:
+        moved_best = max(scores)
+        if moved_best >= best:
+            # moved ascends, so this is the smallest class index of a tie.
+            moved_index = moved[scores.index(moved_best)]
+            if index is None or moved_best > best or moved_index < index:
+                index, best = moved_index, moved_best
     if best == -math.inf:
         return compiled.classes[0] if uniform_priors else compiled.prior_order[0]
-    return compiled.classes[scores.index(best)]
+    return compiled.classes[index]
 
 
 def model_to_dict(model: NaiveBayesModel, config: dict | None = None) -> dict[str, Any]:

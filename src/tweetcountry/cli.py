@@ -163,8 +163,10 @@ def build_geocoder(cfg: SimpleNamespace) -> Geocoder:
     """The geocoder the config describes. Under ``main``, its cache holds one
     append descriptor until the run's exit stack closes."""
     gazetteer = load_gazetteer(cfg.gazetteer) if cfg.gazetteer else default_gazetteer()
+    # A given points file is parsed now, so a bad one fails every command alike;
+    # the bundled index is built on the first reverse lookup, which only label makes.
     reverse_index = (
-        load_reverse_points(cfg.reverse_points) if cfg.reverse_points else default_reverse_index()
+        load_reverse_points(cfg.reverse_points) if cfg.reverse_points else default_reverse_index
     )
     cache = GeocodeCache(cfg.cache)
     exit_stack = getattr(cfg, "exit_stack", None)

@@ -231,14 +231,6 @@ class EvaluationReport(NamedTuple):
         }
 
 
-def _restrict(
-    vectors: Sequence[FeatureVector], kinds: tuple[FeatureKind, ...]
-) -> list[FeatureVector]:
-    """Copies of the vectors holding only the given kinds."""
-    keep = set(kinds)
-    return [{kind: value for kind, value in vector.items() if kind in keep} for vector in vectors]
-
-
 def _predict_subsets(
     train_vectors: Sequence[FeatureVector],
     train_labels: Sequence[str],
@@ -248,21 +240,21 @@ def _predict_subsets(
     uniform_priors: bool,
 ) -> list[list[str]]:
     """Train once over the union of the subsets, then predict a country for
-    each eval vector restricted to each subset, one list per subset.
+    each eval vector scored on each subset's kinds, one list per subset.
 
     The only place in this module that trains and classifies: folds,
     ablation rows, report columns and the region row all go through it.
     A kind's counts, vocabulary and denominators do not depend on which
-    other kinds are enabled, and scoring adds the terms of the kinds a
-    vector holds in enabled-kind order. So a restricted vector gets the same
-    scores, bit for bit, as from a model trained on its subset alone.
+    other kinds are enabled, and scoring adds the terms of the kinds it
+    reads in enabled-kind order. So a vector scored on a subset's kinds gets
+    the same scores, bit for bit, as from a model trained on the subset alone.
     """
     union = ordered_kinds(kind for subset in subsets for kind in subset)
     model = train(zip(train_vectors, train_labels), alpha=alpha, enabled_kinds=union)
     return [
         [
-            classify(model, vector, uniform_priors=uniform_priors)
-            for vector in _restrict(eval_vectors, subset)
+            classify(model, vector, uniform_priors=uniform_priors, kinds=subset)
+            for vector in eval_vectors
         ]
         for subset in subsets
     ]
@@ -327,8 +319,8 @@ def ablate(
 
     Features are extracted once for the union of all subsets. Each fold
     trains one model over that union, and every subset is scored against it
-    with the eval vectors restricted to the subset's kinds: the same
-    predictions as training on the subset alone, for one training per fold.
+    on the subset's kinds alone: the same predictions as training on the
+    subset alone, for one training per fold.
     """
     from fractions import Fraction
 

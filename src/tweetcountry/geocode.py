@@ -13,7 +13,7 @@ import os
 import time
 from bisect import bisect_left, bisect_right
 from pathlib import Path
-from typing import Iterable, NamedTuple, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .atomic import write_text_atomic
 from .errors import ConflictingEntry, InvalidQuery, warn
@@ -478,10 +478,11 @@ def reverse_cache_key(lat: float, lon: float) -> str:
 class Geocoder:
     """Cached, gazetteer-first forward and reverse country resolution.
 
-    The remote backend is optional and given here, where its
-    ``max_in_flight`` slots are made: at most that many remote calls run
-    concurrently. Remote answers (including definite misses) are cached;
-    RemoteUnavailable is propagated and never cached.
+    ``reverse_index`` may also be a function that builds the index, called
+    on the first reverse lookup. The remote backend is optional and given
+    here, where its ``max_in_flight`` slots are made: at most that many
+    remote calls run concurrently. Remote answers (including definite
+    misses) are cached; RemoteUnavailable is propagated and never cached.
     """
 
     def __init__(
@@ -489,7 +490,7 @@ class Geocoder:
         gazetteer: Gazetteer | None = None,
         cache: GeocodeCache | None = None,
         remote: RemoteGeocoder | None = None,
-        reverse_index: ReversePointIndex | None = None,
+        reverse_index: ReversePointIndex | Callable[[], ReversePointIndex] | None = None,
         max_in_flight: int = 1,
     ):
         if max_in_flight < 1:
@@ -516,6 +517,8 @@ class Geocoder:
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
             raise ValueError(f"coordinates out of range: ({lat}, {lon})")
         index = self.reverse_index
+        if callable(index):
+            index = self.reverse_index = index()
         offline = index.nearest_country if index is not None else None
         return self._resolve(reverse_cache_key(lat, lon), offline, "points", "reverse", lat, lon)
 

@@ -64,9 +64,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="alpha must be a finite non-negative number"):
             train(tiny_examples, alpha=alpha)
 
-    def test_invalid_label(self):
-        with pytest.raises(ValueError):
-            train([({K.TIMEZONE: "x"}, "Netherlands")])
+    # The list and dict are unhashable: a lookup of them in the counts raises TypeError.
+    @pytest.mark.parametrize("label", ["Netherlands", "nl", None, ["NL"], {"NL": 1}])
+    def test_invalid_label(self, label):
+        with pytest.raises(ValueError, match=re.escape(f"invalid country label {label!r}")):
+            train([({K.TIMEZONE: "x"}, label)])
+        # also when it follows a counted label
+        with pytest.raises(ValueError, match=re.escape(f"invalid country label {label!r}")):
+            train([({K.TIMEZONE: "x"}, "NL"), ({K.TIMEZONE: "y"}, label)])
 
     def test_disabled_kind_entries_ignored(self, tiny_examples):
         model = train(tiny_examples, enabled_kinds=(K.LOCATION,))
@@ -334,6 +339,9 @@ class TestCompiledScoring:
     # alpha 0 and a vector no class can score: the all -inf fallback, in both prior modes
     @example(fallback_examples, 0.0, {K.TIMEZONE, K.USER_LANGUAGE}, [fallback_vector], False)
     @example(fallback_examples, 0.0, {K.TIMEZONE, K.USER_LANGUAGE}, [fallback_vector], True)
+    # a touched class ties an untouched one that comes first in code order
+    @example(tied_examples, 1.0, {K.TIMEZONE}, [{K.TIMEZONE: "v0"}], True)
+    @example(tied_examples, 1.0, {K.TIMEZONE}, [{K.TIMEZONE: "v0"}], False)
     @settings(max_examples=300, deadline=None)
     def test_classify_is_the_first_ranked_class(self, examples, alpha, kinds, scored, uniform):
         model = train(examples, alpha=alpha, enabled_kinds=kinds)
@@ -342,6 +350,54 @@ class TestCompiledScoring:
             assert classify(model, vector, uniform_priors=uniform) == ranked[0][0]
             first = log_posterior(model, vector, uniform_priors=uniform, top=1)
             assert classify(model, vector, uniform_priors=uniform) == first[0][0]
+
+    @given(
+        count_tables,
+        st.sampled_from([0.0, 0.5, 1.0]),
+        kind_subsets,
+        st.lists(scored_vectors, min_size=1, max_size=8),
+        st.lists(st.sampled_from(list(ALL_KINDS)), unique=True),
+        st.booleans(),
+    )
+    @example(tied_examples, 1.0, {K.TIMEZONE}, [{K.TIMEZONE: "v0", K.LOCATION: "v0"}], [K.LOCATION, K.TIMEZONE], True)
+    @settings(max_examples=300, deadline=None)
+    def test_classify_on_kinds_is_classify_on_the_restricted_vector(
+        self, examples, alpha, kinds, scored, subset, uniform
+    ):
+        # subset comes in any order and may hold kinds the model does not enable
+        model = train(examples, alpha=alpha, enabled_kinds=kinds)
+        for vector in scored + [{}]:
+            restricted = {kind: vector[kind] for kind in subset if kind in vector}
+            for container in (subset, tuple(subset), set(subset)):
+                assert classify(model, vector, uniform_priors=uniform, kinds=container) == classify(
+                    model, restricted, uniform_priors=uniform
+                )
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize(
+        "alpha, vector",
+        [
+            (1.0, {K.TIMEZONE: "a", K.USER_LANGUAGE: "en", K.LOCATION: "x"}),
+            (1.0, {K.USER_LANGUAGE: "en"}),
+            # every class is touched and scores -inf: the prior-only fallback
+            (0.0, {K.TIMEZONE: "a", K.USER_LANGUAGE: "en", K.LOCATION: "x"}),
+        ],
+    )
+    def test_value_every_class_counted(self, alpha, vector, uniform):
+        # Every class counted "en", so a vector holding it moves every class off its start.
+        examples = [
+            ({K.TIMEZONE: "a", K.USER_LANGUAGE: "en"}, "AA"),
+            ({K.TIMEZONE: "b", K.USER_LANGUAGE: "en", K.LOCATION: "x"}, "BB"),
+            ({K.TIMEZONE: "b", K.USER_LANGUAGE: "en", K.LOCATION: "y"}, "CC"),
+            ({K.TIMEZONE: "b", K.USER_LANGUAGE: "en", K.LOCATION: "x"}, "CC"),
+        ]
+        model = train(examples, alpha=alpha)
+        ranked = reference_log_posterior(model, vector, uniform_priors=uniform)
+        assert_same_ranking(log_posterior(model, vector, uniform_priors=uniform), ranked)
+        assert_same_ranking(log_posterior(model, vector, uniform_priors=uniform, top=1), ranked[:1])
+        assert classify(model, vector, uniform_priors=uniform) == ranked[0][0]
+        if alpha == 0.0:
+            assert all(score == -math.inf for _, score in ranked)
 
     @given(
         count_tables,

@@ -953,6 +953,50 @@ class TestConfigResolution:
         assert code == EXIT_INPUT
         assert f"{points}:2: coordinates must be numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "classify", "ablate"])
+    def test_malformed_reverse_points_fail_every_command(
+        self, tmp_path, labeled_file, model_file, capsys, command
+    ):
+        # Given points are parsed when the geocoder is built, not on the first reverse lookup.
+        points = tmp_path / "points.tsv"
+        points.write_text("52.1\t4.4\tNL\tLeiden\n5_2.1\t4.4\tNL\tLeiden\n", encoding="utf-8")
+        raw = tmp_path / "raw.ndjson"
+        write_raw_corpus(raw)
+        flags = {
+            "train": ["--input", str(labeled_file), "--model", str(tmp_path / "retrained.json")],
+            "classify": ["--input", str(raw), "--output", str(tmp_path / "out.ndjson"), "--model", str(model_file)],
+            "ablate": ["--input", str(labeled_file), "--k", "2", "--subsets", "timezone"],
+        }
+        capsys.readouterr()
+        assert main([command, *flags[command], "--reverse-points", str(points)]) == EXIT_INPUT
+        assert f"{points}:2: coordinates must be numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["label", "train", "classify", "ablate"])
+    def test_bundled_reverse_index_is_built_on_the_first_reverse_lookup(
+        self, tmp_path, labeled_file, model_file, monkeypatch, command
+    ):
+        built = []
+        bundled = cli.default_reverse_index
+        monkeypatch.setattr(cli, "default_reverse_index", lambda: built.append(1) or bundled())
+        raw = tmp_path / "raw.ndjson"
+        lines = [{"id": str(i), "coordinates": [4.48431747, 52.1674388]} for i in range(3)]
+        raw.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        output = tmp_path / "out.ndjson"
+        flags = {
+            "label": ["--input", str(raw), "--output", str(output)],
+            "train": ["--input", str(labeled_file), "--model", str(tmp_path / "retrained.json")],
+            "classify": ["--input", str(raw), "--output", str(output), "--model", str(model_file)],
+            "ablate": ["--input", str(labeled_file), "--k", "2", "--subsets", "timezone"],
+        }
+        assert main([command, *flags[command]]) == EXIT_OK
+        if command == "label":
+            # labeled through the bundled reference point at Leiden, built once for three lookups
+            rows = [json.loads(line) for line in output.read_text(encoding="utf-8").splitlines()]
+            assert [row["country"] for row in rows] == ["NL"] * 3
+            assert built == [1]
+        else:
+            assert built == []
+
     def test_kinds_are_canonicalized(self, tmp_path, labeled_file, capsys):
         code = main(
             ["evaluate", "--input", str(labeled_file), "--kinds", "timezone+location"]
