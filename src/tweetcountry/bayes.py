@@ -189,25 +189,6 @@ class CompiledModel:
             scores.append(score)
         return start, ranking, touched, moved, scores
 
-    def _first(
-        self, vector: FeatureVector, uniform_priors: bool, count: int
-    ) -> list[tuple[int, float]]:
-        """The first ``count`` (class index, score) pairs by descending score,
-        ties in code order.
-
-        Only the classes that the vector's values touched left their start
-        score, so the first ``count`` are among those and the first ``count``
-        untouched classes of the start's own ranking.
-        """
-        start, ranking, touched, moved, scores = self._scores(vector, uniform_priors)
-        candidates = list(zip(moved, scores))
-        for index in islice(filterfalse(touched.__contains__, ranking), count):
-            candidates.append((index, start[index]))
-        # Code order first; the stable sort by score then keeps ties in it.
-        candidates.sort(key=itemgetter(0))
-        candidates.sort(key=itemgetter(1), reverse=True)
-        return candidates[:count]
-
     def majority(self, kind: FeatureKind, value: str) -> str | None:
         """The class with the highest count for the value; ties pick the smaller code.
 
@@ -296,7 +277,18 @@ def log_posterior(
         raise ValueError(f"top must be at least 1, got {top!r}")
     compiled = model.compiled
     classes = compiled.classes
-    first = compiled._first(vector, uniform_priors, len(classes) if top is None else top)
+    count = len(classes) if top is None else top
+    start, ranking, touched, moved, scores = compiled._scores(vector, uniform_priors)
+    # Only the classes that the vector's values touched left their start score,
+    # so the first ``count`` are among those and the first ``count`` untouched
+    # classes of the start's own ranking.
+    candidates = list(zip(moved, scores))
+    for index in islice(filterfalse(touched.__contains__, ranking), count):
+        candidates.append((index, start[index]))
+    # Code order first; the stable sort by score then keeps ties in it.
+    candidates.sort(key=itemgetter(0))
+    candidates.sort(key=itemgetter(1), reverse=True)
+    first = candidates[:count]
     # The first entry holds the highest score, so it is -inf only if every score is.
     if first[0][1] == -math.inf:
         fallback = classes if uniform_priors else compiled.prior_order

@@ -292,7 +292,8 @@ class GeocodeCache:
 
         The entry's timestamp is the current UTC time in
         ``datetime.isoformat`` form. The line is encoded first, so a key that
-        is not valid Unicode text raises before memory or file changes. Each
+        is not valid Unicode text raises before memory or file changes, as do
+        an empty key and a source that holds a tab or line break. Each
         entry is appended whole, with one write loop on an ``O_APPEND``
         descriptor: inside ``with``, the one the first put opened; outside it,
         one opened for this entry. When the loaded file did not end in a line
@@ -301,6 +302,9 @@ class GeocodeCache:
         """
         if not key:
             raise ValueError("cache key must be non-empty")
+        # Unlike the key, the source is written unescaped: a tab or line break would split the line.
+        if "\t" in source or "\n" in source or "\r" in source:
+            raise ValueError(f"cache source must not hold a tab or line break: {source!r}")
         if country is not None and not is_country_code(country):
             raise ValueError(f"invalid cached country {country!r}")
         entry = CacheEntry(country, source, _utc_stamp())

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tweetcountry import features
 from tweetcountry.errors import GeoparserFailure, InvalidQuery, RemoteUnavailable
 from tweetcountry.features import (
     ALL_KINDS,
     FeatureKind,
-    _extractor_table,
     extract_features,
     kind_from_name,
     normalize_place,
@@ -181,15 +179,21 @@ def test_empty_enabled_rejected():
         extract_features(FULL_TWEET, enabled=())
 
 
-def test_extractor_table_follows_kind_order():
-    assert tuple(kind for kind, _ in features._EXTRACTORS) == ALL_KINDS
+@pytest.mark.parametrize(
+    "enabled",
+    [None, [], iter(()), ("location", "timezone"), iter(["location"]), [None]],
+    ids=["None", "list", "empty-iterator", "names", "iterator-of-names", "list-of-None"],
+)
+def test_enabled_without_a_kind_rejected(enabled):
+    parser = StubGeoparser({"awesome enschede": "NL"})
+    with pytest.raises(ValueError, match="enabled kinds must be non-empty"):
+        extract_features(FULL_TWEET, geoparser=parser, enabled=enabled)
+    assert parser.queries == []
 
 
-def test_kind_without_extractor_fails_loudly():
-    extractors = dict(features._EXTRACTORS)
-    del extractors[K.UTC_OFFSET]
-    with pytest.raises(AssertionError, match="unhandled kind <FeatureKind.UTC_OFFSET"):
-        _extractor_table(extractors)
+def test_enabled_iterator_is_read_once():
+    fv = extract_features(FULL_TWEET, enabled=iter((K.UTC_OFFSET, "location", K.TIMEZONE)))
+    assert fv == {K.TIMEZONE: "amsterdam", K.UTC_OFFSET: "3600"}
 
 
 class ScriptedGeoparser:
@@ -231,6 +235,21 @@ _geoparse_outcomes = st.sampled_from(
 )
 
 
+@example(
+    tweet=TweetRecord(user_location=" \t ", time_zone="Amsterdam"),
+    enabled=[K.LOCATION, K.TIMEZONE, K.GEOPARSED],
+    case_fold=False,
+    outcome="NL",
+    with_geoparser=True,
+)
+@example(tweet=FULL_TWEET, enabled=list(ALL_KINDS), case_fold=True, outcome="", with_geoparser=True)
+@example(
+    tweet=FULL_TWEET,
+    enabled=[K.USER_LANGUAGE, K.GEOPARSED, K.LOCATION, K.USER_LANGUAGE, K.TIMEZONE, K.LOCATION],
+    case_fold=True,
+    outcome="NL",
+    with_geoparser=True,
+)
 @given(
     tweet=_tweets,
     enabled=st.lists(st.sampled_from(ALL_KINDS), min_size=1, max_size=8),

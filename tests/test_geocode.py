@@ -370,6 +370,23 @@ class TestCache:
         if with_file:
             assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("with_file", [False, True])
+    @pytest.mark.parametrize(
+        "source", ["a\tb", "x\ny", "x\ry", "gazetteer\n"], ids=["tab", "line-feed", "return", "trailing-line-feed"]
+    )
+    def test_source_that_would_split_the_line_changes_nothing(self, tmp_path, with_file, source):
+        path = tmp_path / "cache.tsv"
+        cache = GeocodeCache(path if with_file else None)
+        cache.put("a", "NL", "x")
+        before = path.read_bytes() if with_file else None
+        with pytest.raises(ValueError, match="tab or line break"):
+            cache.put("k", "FR", source)
+        assert len(cache) == 1
+        assert cache.get("k") is None
+        if with_file:
+            assert path.read_bytes() == before
+            assert len(GeocodeCache(path)) == 1
+
     def test_held_descriptor_writes_what_per_put_opens_write(self, tmp_path, monkeypatch):
         opened = []
         real_open = os.open
