@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import filterfalse, islice
 from operator import add, itemgetter
 from pathlib import Path
-from typing import Any, Container, Iterable
+from typing import Any, Container, Iterable, Iterator
 
 from .atomic import write_json_atomic
 from .errors import CorruptModel, EmptyTrainingSet
@@ -143,12 +143,12 @@ class CompiledModel:
         vector: FeatureVector,
         uniform_priors: bool,
         kinds: Container[FeatureKind] | None = None,
-    ) -> tuple[list[float], list[int], Container[int], list[int], list[float]]:
-        """The start row the scores began from; its ranking, class indices by
-        descending start score, ties in code order; the indices of the classes
-        whose score left it, as a container and in ascending order; and their
-        scores in that order. Only the vector's values of ``kinds``, if given,
-        are scored. Do not modify the returned row, ranking or container.
+    ) -> tuple[list[float], Iterator[int], list[int], list[float]]:
+        """The start row the scores began from; the indices of the classes
+        whose score did not leave it, by descending start score, ties in code
+        order; the indices of the classes whose score left it, in ascending
+        order; and their scores in that order. Only the vector's values of
+        ``kinds``, if given, are scored. Do not modify the returned row.
         """
         present = []
         parts = []
@@ -171,7 +171,7 @@ class CompiledModel:
             cached = self._starts[key] = start, ranking
         start, ranking = cached
         if not parts:
-            return start, ranking, (), [], []
+            return start, iter(ranking), [], []
         if len(parts) == 1:
             # A value's terms are keyed in code order.
             touched = parts[0][0]
@@ -187,7 +187,7 @@ class CompiledModel:
             for terms, base in parts:
                 score += terms.get(index, base[index])
             scores.append(score)
-        return start, ranking, touched, moved, scores
+        return start, filterfalse(touched.__contains__, ranking), moved, scores
 
     def majority(self, kind: FeatureKind, value: str) -> str | None:
         """The class with the highest count for the value; ties pick the smaller code.
@@ -278,12 +278,12 @@ def log_posterior(
     compiled = model.compiled
     classes = compiled.classes
     count = len(classes) if top is None else top
-    start, ranking, touched, moved, scores = compiled._scores(vector, uniform_priors)
+    start, untouched, moved, scores = compiled._scores(vector, uniform_priors)
     # Only the classes that the vector's values touched left their start score,
     # so the first ``count`` are among those and the first ``count`` untouched
     # classes of the start's own ranking.
     candidates = list(zip(moved, scores))
-    for index in islice(filterfalse(touched.__contains__, ranking), count):
+    for index in islice(untouched, count):
         candidates.append((index, start[index]))
     # Code order first; the stable sort by score then keeps ties in it.
     candidates.sort(key=itemgetter(0))
@@ -311,10 +311,10 @@ def classify(
     the smaller class index.
     """
     compiled = model.compiled
-    start, ranking, touched, moved, scores = compiled._scores(vector, uniform_priors, kinds)
+    start, untouched, moved, scores = compiled._scores(vector, uniform_priors, kinds)
     index, best = None, -math.inf
     if len(moved) < len(start):
-        index = next(filterfalse(touched.__contains__, ranking))
+        index = next(untouched)
         best = start[index]
     if scores:
         moved_best = max(scores)
@@ -329,7 +329,9 @@ def classify(
 
 
 def model_to_dict(model: NaiveBayesModel, config: dict | None = None) -> dict[str, Any]:
-    """The JSON document for a model; fully deterministic for equal models.
+    """The JSON document for a model. Its lists are sorted and its objects
+    keep the model's key order; ``save_model``'s writer sorts the keys, so
+    equal models save equal bytes.
 
     The config echo is ``config``, or else the model's own ``config``.
     """
@@ -340,20 +342,14 @@ def model_to_dict(model: NaiveBayesModel, config: dict | None = None) -> dict[st
         "alpha": model.alpha,
         "enabled_kinds": [kind.value for kind in model.enabled_kinds],
         "total_examples": model.total_examples,
-        "class_count": dict(sorted(model.class_count.items())),
+        "class_count": dict(model.class_count),
         "value_count": {
-            country: {
-                kind.value: dict(sorted(values.items()))
-                for kind, values in sorted(per_kind.items(), key=lambda item: item[0].value)
-            }
-            for country, per_kind in sorted(model.value_count.items())
+            country: {kind.value: dict(values) for kind, values in per_kind.items()}
+            for country, per_kind in model.value_count.items()
         },
         "kind_total": {
-            country: {
-                kind.value: count
-                for kind, count in sorted(totals.items(), key=lambda item: item[0].value)
-            }
-            for country, totals in sorted(model.kind_total.items())
+            country: {kind.value: count for kind, count in totals.items()}
+            for country, totals in model.kind_total.items()
         },
         "vocabulary": {
             kind.value: sorted(values) for kind, values in model.vocabulary.items()

@@ -160,18 +160,15 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
 
 
 def build_geocoder(cfg: SimpleNamespace) -> Geocoder:
-    """The geocoder the config describes. Under ``main``, its cache holds one
-    append descriptor until the run's exit stack closes."""
+    """The geocoder the config describes. Its cache holds one append
+    descriptor until the run's exit stack closes."""
     gazetteer = load_gazetteer(cfg.gazetteer) if cfg.gazetteer else default_gazetteer()
     # A given points file is parsed now, so a bad one fails every command alike;
     # the bundled index is built on the first reverse lookup, which only label makes.
     reverse_index = (
         load_reverse_points(cfg.reverse_points) if cfg.reverse_points else default_reverse_index
     )
-    cache = GeocodeCache(cfg.cache)
-    exit_stack = getattr(cfg, "exit_stack", None)
-    if exit_stack is not None:
-        exit_stack.enter_context(cache)
+    cache = cfg.exit_stack.enter_context(GeocodeCache(cfg.cache))
     remote = None
     if cfg.remote_backend and cfg.remote_backend != "none":
         factory = REMOTE_BACKENDS.get(cfg.remote_backend)
@@ -190,7 +187,7 @@ def build_geocoder(cfg: SimpleNamespace) -> Geocoder:
 
 def _require_paths(cfg: SimpleNamespace, *names: str) -> None:
     for name in names:
-        if getattr(cfg, name) in (None, ""):
+        if cfg.echo[name] in (None, ""):
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
@@ -296,18 +293,17 @@ def cmd_classify(cfg: SimpleNamespace) -> dict:
 
     _require_paths(cfg, "input", "output", "model")
     model = load_model(cfg.model)
-    trained_config = model.config or {}
-    case_fold = cfg.case_fold
-    # Unless the flag was given explicitly, mirror how the model was trained.
-    if getattr(cfg, "case_fold_given", None) is None and isinstance(
-        trained_config.get("case_fold"), bool
-    ):
-        case_fold = trained_config["case_fold"]
+    trained_case_fold = (model.config or {}).get("case_fold")
+    # Unless the flag was given explicitly, mirror how the model was trained,
+    # and echo the setting applied.
+    if cfg.case_fold_given is None and isinstance(trained_case_fold, bool):
+        cfg.case_fold = cfg.echo["case_fold"] = trained_case_fold
+        cfg.digest = config_digest(cfg.echo)
     geocoder = build_geocoder(cfg)
     totals = {"total": 0, "classified": 0, "malformed": 0}
     with open_atomic(cfg.output) as sink:
         for _, record in _records(cfg, totals):
-            vector = extract_features(record, geocoder, model.enabled_kinds, case_fold=case_fold)
+            vector = extract_features(record, geocoder, model.enabled_kinds, case_fold=cfg.case_fold)
             ranked = log_posterior(model, vector, uniform_priors=cfg.uniform_priors, top=cfg.top)
             predicted = ranked[0][0]
             obj = {

@@ -11,6 +11,7 @@ configuration and its SHA-256 so artifacts are reproducible byte for byte.
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -579,23 +580,18 @@ def per_country_report(
         accuracy(list(zip(predictions, collapsed_eval))) for predictions in region_predictions
     ]
 
-    counts: dict[str, int] = {}
-    for label in eval_labels:
-        counts[label] = counts.get(label, 0) + 1
+    counts = Counter(eval_labels)
     qualifying = [country for country, n in counts.items() if n >= min_count]
     qualifying.sort(key=lambda country: (-counts[country], country))
-
+    # Per kind set, the correct predictions of each true country, in one pass.
+    hits = [
+        Counter(truth for predicted, truth in zip(predictions, eval_labels) if predicted == truth)
+        for predictions in per_set_predictions
+    ]
     rows: list[CountryRow] = []
     for country in qualifying:
-        indices = [i for i, label in enumerate(eval_labels) if label == country]
-        accuracies = tuple(
-            Fraction(
-                sum(1 for i in indices if predictions[i] == country),
-                len(indices),
-            )
-            for predictions in per_set_predictions
-        )
-        rows.append(CountryRow(country=country, n=counts[country], accuracies=accuracies))
+        n = counts[country]
+        rows.append(CountryRow(country, n, tuple(Fraction(column[country], n) for column in hits)))
 
     percent_columns = [
         [float(row.accuracies[column]) * 100.0 for row in rows]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import _thread
 import math
 import os
+import re
 import time
 from bisect import bisect_left, bisect_right
 from pathlib import Path
@@ -171,19 +172,13 @@ def _utc_stamp() -> str:
     return cached[1] + "+00:00"
 
 
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
 def _unescape_key(key: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(key):
-        ch = key[i]
-        if ch == "\\" and i + 1 < len(key):
-            nxt = key[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Undo ``_escape_key``; an unknown escape keeps its character, and a
+    trailing backslash stays."""
+    return re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), key, flags=re.DOTALL)
 
 
 def _utf8_or_none(raw: bytes) -> str | None:

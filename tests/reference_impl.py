@@ -3,11 +3,12 @@
 ``decode_object`` (one ``json.loads`` per document), ``record_from_dict``
 (with ``TweetRecord``'s construction checks), ``extract_features`` (with its
 per-kind if-chain), ``model_from_dict`` (with every message formatted before
-its check) and the geocode cache loader (one decode per line) are kept here
-verbatim in behaviour, so property tests can check that the tuned code
-returns the same objects, records, vectors, models and cache entries and
-raises or warns with the same messages, in the same order. They are test
-oracles only; nothing in the package imports them.
+its check), ``model_to_dict`` (with every table sorted), the geocode cache
+loader (one decode per line) and its key unescaping (a character loop) are
+kept here verbatim in behaviour, so property tests can check that the tuned
+code returns the same objects, records, vectors, models, documents, keys and
+cache entries and raises or warns with the same messages, in the same order.
+They are test oracles only; nothing in the package imports them.
 
 The value classes the package once built with ``@dataclass`` are kept here
 too, as their dataclass twins (fields and construction checks; their other
@@ -34,7 +35,7 @@ from tweetcountry.errors import (
     RemoteUnavailable,
 )
 from tweetcountry.features import FeatureKind, kind_from_name, ordered_kinds
-from tweetcountry.geocode import NEGATIVE_MARK, CacheEntry, _unescape_key
+from tweetcountry.geocode import NEGATIVE_MARK, CacheEntry
 from tweetcountry.tweet_model import UTC_OFFSET_LIMIT, TweetRecord, _shown, is_country_code
 
 _WHITESPACE_RUN = re.compile(r"\s+")
@@ -246,6 +247,22 @@ def reference_decode_object(raw: str | bytes) -> dict[str, Any]:
     return obj
 
 
+def reference_unescape_key(key: str) -> str:
+    """geocode._unescape_key as it was when it walked the key character by character."""
+    out: list[str] = []
+    i = 0
+    while i < len(key):
+        ch = key[i]
+        if ch == "\\" and i + 1 < len(key):
+            nxt = key[i + 1]
+            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
 def reference_cache_load(path) -> tuple[dict[str, CacheEntry], list[str]]:
     """GeocodeCache._load as it was when it decoded each line on its own:
     the entries it kept, and the text of each warning it gave, in order."""
@@ -263,7 +280,7 @@ def reference_cache_load(path) -> tuple[dict[str, CacheEntry], list[str]]:
             if len(fields) != 4:
                 warnings.append(f"{path}:{lineno}: skipping malformed cache line")
                 continue
-            key = _unescape_key(fields[0])
+            key = reference_unescape_key(fields[0])
             outcome = None if fields[1] == NEGATIVE_MARK else fields[1]
             if outcome is not None and not is_country_code(outcome):
                 warnings.append(f"{path}:{lineno}: skipping invalid outcome {fields[1]!r}")
@@ -450,6 +467,40 @@ def reference_model_from_dict(document: Any) -> NaiveBayesModel:
         kind_total=kind_total,
         vocabulary=vocabulary,
     )
+
+
+def reference_model_to_dict(model: NaiveBayesModel, config: dict | None = None) -> dict[str, Any]:
+    """model_to_dict as it was when it sorted every table itself, before the
+    writer sorted the keys again."""
+    if config is None:
+        config = model.config
+    document: dict[str, Any] = {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "alpha": model.alpha,
+        "enabled_kinds": [kind.value for kind in model.enabled_kinds],
+        "total_examples": model.total_examples,
+        "class_count": dict(sorted(model.class_count.items())),
+        "value_count": {
+            country: {
+                kind.value: dict(sorted(values.items()))
+                for kind, values in sorted(per_kind.items(), key=lambda item: item[0].value)
+            }
+            for country, per_kind in sorted(model.value_count.items())
+        },
+        "kind_total": {
+            country: {
+                kind.value: count
+                for kind, count in sorted(totals.items(), key=lambda item: item[0].value)
+            }
+            for country, totals in sorted(model.kind_total.items())
+        },
+        "vocabulary": {
+            kind.value: sorted(values) for kind, values in model.vocabulary.items()
+        },
+    }
+    if config is not None:
+        document["config"] = config
+    return document
 
 
 @dataclass(frozen=True, slots=True)

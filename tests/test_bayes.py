@@ -30,9 +30,12 @@ from tweetcountry.bayes import (
     save_model,
     train,
 )
+from tweetcountry.atomic import write_json_atomic
 from tweetcountry.errors import CorruptModel, EmptyTrainingSet
 from tweetcountry.evaluation import majority_class
 from tweetcountry.features import ALL_KINDS, FeatureKind
+
+from reference_impl import reference_model_to_dict
 
 K = FeatureKind
 
@@ -72,6 +75,12 @@ class TestTrain:
         # also when it follows a counted label
         with pytest.raises(ValueError, match=re.escape(f"invalid country label {label!r}")):
             train([({K.TIMEZONE: "x"}, "NL"), ({K.TIMEZONE: "y"}, label)])
+
+    @pytest.mark.parametrize("value", ["", None])
+    def test_empty_feature_value(self, value):
+        with pytest.raises(ValueError) as excinfo:
+            train([({K.LOCATION: "x", K.TIMEZONE: value}, "NL")])
+        assert str(excinfo.value) == "empty feature value for kind 'timezone'"
 
     def test_disabled_kind_entries_ignored(self, tiny_examples):
         model = train(tiny_examples, enabled_kinds=(K.LOCATION,))
@@ -592,6 +601,25 @@ class TestPersistence:
         save_model(loaded, other, config={"case_fold": True})
         assert load_model_config(other) == {"case_fold": True}
 
+    @given(
+        examples=example_lists,
+        rng=st.randoms(use_true_random=False),
+        config=st.sampled_from([None, {"case_fold": False, "alpha": 1.0, "kinds": "timezone"}]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_saved_bytes_do_not_depend_on_training_order(self, tmp_path_factory, examples, rng, config):
+        # The document keeps the model's key order; the writer sorts every key,
+        # so the bytes equal those of the document with every table sorted.
+        shuffled = [(dict(rng.sample(list(vector.items()), len(vector))), label) for vector, label in examples]
+        rng.shuffle(shuffled)
+        first, second = train(examples), train(shuffled)
+        directory = tmp_path_factory.mktemp("order")
+        paths = [directory / name for name in ("first.json", "second.json", "reference.json")]
+        save_model(first, paths[0], config)
+        save_model(second, paths[1], config)
+        write_json_atomic(paths[2], reference_model_to_dict(first, config))
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
     @given(example_lists)
     @settings(max_examples=40, deadline=None)
     def test_dict_round_trip_property(self, examples):
@@ -715,6 +743,23 @@ class TestModelValidation:
         document = model_to_dict(model)
         document["value_count"]["NL"]["location"] = {"x": 1}
         self._expect_corrupt(document)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda d: d["kind_total"].update(FR={}), "kind_total has unknown classes"),
+            (lambda d: d["value_count"]["NL"]["timezone"].update({"": 0}), "empty feature value under 'timezone'"),
+            (lambda d: d["kind_total"]["NL"].update(location=0), "kind_total uses disabled kind 'location'"),
+            (lambda d: d["vocabulary"].update(location=[]), "vocabulary uses disabled kind 'location'"),
+        ],
+        ids=["kind-total-class", "empty-value", "kind-total-kind", "vocabulary-kind"],
+    )
+    def test_message_names_the_defect(self, tiny_examples, tamper, message):
+        document = model_to_dict(train(tiny_examples, enabled_kinds=(K.TIMEZONE,)))
+        tamper(document)
+        with pytest.raises(CorruptModel) as excinfo:
+            model_from_dict(document)
+        assert str(excinfo.value) == message
 
     def test_not_an_object(self):
         self._expect_corrupt([1, 2, 3])

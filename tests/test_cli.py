@@ -320,6 +320,30 @@ class TestClassify:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_echo_records_the_case_fold_applied(self, tmp_path, labeled_file, capsys):
+        # The model records case_fold off; without the flag classify applies
+        # that, and its echo and digest say so.
+        model = tmp_path / "model.json"
+        assert main(["train", "--input", str(labeled_file), "--model", str(model), "--no-case-fold"]) == EXIT_OK
+        raw = tmp_path / "raw.ndjson"
+        # In vocabulary only as given: case folding makes it "zone aa".
+        raw.write_text(json.dumps({"id": "1", "time_zone": "zone AA"}) + "\n", encoding="utf-8")
+        output = tmp_path / "out.ndjson"
+        runs = {}
+        for flag in ("", "--no-case-fold", "--case-fold"):
+            capsys.readouterr()
+            argv = ["classify", "--input", str(raw), "--model", str(model), "--output", str(output)]
+            assert main(argv + ([flag] if flag else [])) == EXIT_OK
+            summary = read_summary(capsys)
+            row = json.loads(output.read_text(encoding="utf-8"))
+            assert row["config_sha256"] == summary["config_sha256"] == config_digest(summary["config"])
+            runs[flag] = (summary["config"]["case_fold"], summary["config_sha256"], row["top"])
+        assert runs[""] == runs["--no-case-fold"]
+        assert runs[""][0] is False
+        assert runs["--case-fold"][0] is True
+        assert runs["--case-fold"][1] != runs[""][1]
+        assert runs["--case-fold"][2] != runs[""][2]
+
     def test_case_fold_help_names_the_model_default(self, capsys):
         # classify mirrors the model's recorded case_fold unless the flag is given
         with pytest.raises(SystemExit) as excinfo:
@@ -586,6 +610,72 @@ def test_report_targets_are_checked_before_the_first_write(
     assert list(tmp_path.rglob(".*.tmp")) == []
 
 
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["label", "--output", "out.ndjson"], "input"),
+        (["label", "--input", "raw.ndjson"], "output"),
+        (["train", "--model", "model.json"], "input"),
+        (["train", "--input", "labeled.ndjson"], "model"),
+        (["classify", "--output", "out.ndjson", "--model", "model.json"], "input"),
+        (["classify", "--input", "raw.ndjson", "--model", "model.json"], "output"),
+        (["classify", "--input", "raw.ndjson", "--output", "out.ndjson"], "model"),
+        (["evaluate"], "input"),
+        (["ablate"], "input"),
+        (["report"], "input"),
+        (["cache", "stats"], "cache"),
+        (["cache", "compact"], "cache"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else _command_name(value),
+)
+def test_missing_required_option_is_named(tmp_path, capsys, monkeypatch, argv, missing):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: missing required option --{missing}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_classify_top_below_one_writes_nothing(tmp_path, model_file, capsys):
+    raw = tmp_path / "raw.ndjson"
+    write_raw_corpus(raw)
+    output = tmp_path / "out.ndjson"
+    argv = ["classify", "--input", str(raw), "--model", str(model_file), "--output", str(output), "--top", "0"]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: top must be at least 1\n"
+    assert not output.exists()
+
+
+def test_ablate_subsets_without_a_kind_set(tmp_path, labeled_file, capsys):
+    report = tmp_path / "ablation.json"
+    argv = ["ablate", "--input", str(labeled_file), "--subsets", ";", "--report-json", str(report)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: no feature kind sets given\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "targets, bad",
+    [(["a_file/report.json", "ok.csv"], "a_file/report.json"), (["ok.json", "a_file/report.csv"], "a_file/report.csv")],
+    ids=["json", "csv"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["evaluate", "--k", "2"], ["ablate", "--k", "2", "--subsets", "timezone"], ["report"]],
+    ids=lambda argv: argv[0],
+)
+def test_report_under_a_file_is_not_a_directory(tmp_path, labeled_file, capsys, monkeypatch, command, targets, bad):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / "a_file").write_bytes(b"old bytes\n")
+    argv = command[:1] + ["--input", str(labeled_file)] + command[1:]
+    assert main(argv + ["--report-json", targets[0], "--report-csv", targets[1]]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {bad!r}\n"
+    assert [path.name for path in work.iterdir()] == ["a_file"]
+    assert (work / "a_file").read_bytes() == b"old bytes\n"
+
+
 class TestCache:
     def test_stats_and_compact(self, tmp_path, capsys):
         cache_path = tmp_path / "cache.tsv"
@@ -731,6 +821,36 @@ class TestConfigResolution:
         assert summary["command"] == command
         assert summary["config"]["cache"] == str(tmp_path / "cache.tsv")
         assert summary["config_sha256"] == config_digest(summary["config"])
+
+    @pytest.mark.parametrize("key", ["case_fold", "strict", "uniform_priors"])
+    @pytest.mark.parametrize(
+        "spelling, value",
+        [("true", True), ("Yes", True), ("1", True), ("ON", True),
+         ("FALSE", False), ("no", False), ("0", False), ("Off", False)],
+    )
+    def test_config_file_booleans(self, tmp_path, capsys, key, spelling, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {spelling}\n", encoding="utf-8")
+        argv = ["cache", "stats", "--cache", str(tmp_path / "cache.tsv"), "--config", str(config)]
+        assert main(argv) == EXIT_OK
+        assert read_summary(capsys)["config"][key] is value
+
+    def test_config_case_fold_applies_when_the_model_records_none(self, tmp_path, model_file, capsys):
+        save_model(load_model(model_file), model_file, config={})
+        raw = tmp_path / "raw.ndjson"
+        # The model was trained case-folded, so this is in vocabulary only when folded.
+        raw.write_text(json.dumps({"id": "1", "time_zone": "ZONE AA"}) + "\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text("case_fold = off\n", encoding="utf-8")
+        output = tmp_path / "out.ndjson"
+        argv = ["classify", "--input", str(raw), "--model", str(model_file), "--output", str(output)]
+        results = []
+        for extra in (["--config", str(config)], []):
+            capsys.readouterr()
+            assert main(argv + extra) == EXIT_OK
+            row = json.loads(output.read_text(encoding="utf-8"))
+            results.append((read_summary(capsys)["config"]["case_fold"], "OOV_ONLY" in row["diagnostics"]))
+        assert results == [(False, True), (True, False)]
 
     def test_parse_config_file(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -338,6 +338,11 @@ class TestAblate:
         with pytest.raises(ValueError):
             ablate(separable_corpus, [], k=5)
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(EmptyEvaluationSet) as excinfo:
+            ablate(LabeledDataset([], source="empty"), [(K.TIMEZONE,)], k=5)
+        assert str(excinfo.value) == "dataset has no examples"
+
     def test_row_labels(self, separable_corpus):
         rows = ablate(separable_corpus, [(K.LOCATION, K.TIMEZONE)], k=5)
         assert rows[0].label == "location+timezone"
@@ -510,6 +515,56 @@ class TestPerCountryReport:
     def test_min_count_validated(self, skewed_data):
         with pytest.raises(ValueError):
             per_country_report(skewed_data, kind_sets=[(K.TIMEZONE,)], min_count=0)
+
+    @pytest.mark.parametrize(
+        "train_empty, eval_empty, error, message",
+        [
+            (True, False, EmptyEvaluationSet, "training dataset has no examples"),
+            (True, None, EmptyEvaluationSet, "training dataset has no examples"),
+            (False, True, EmptyEvaluationSet, "evaluation dataset has no examples"),
+        ],
+        ids=["empty-training", "empty-same-set", "empty-evaluation"],
+    )
+    def test_empty_dataset_rejected(self, skewed_data, train_empty, eval_empty, error, message):
+        empty = LabeledDataset([], source="empty")
+        train_data = empty if train_empty else skewed_data
+        eval_data = None if eval_empty is None else empty if eval_empty else skewed_data
+        with pytest.raises(error) as excinfo:
+            per_country_report(train_data, eval_data, kind_sets=[(K.TIMEZONE,)], region={"AA"})
+        assert str(excinfo.value) == message
+
+    def test_no_kind_sets_rejected(self, skewed_data):
+        with pytest.raises(ValueError) as excinfo:
+            per_country_report(skewed_data, kind_sets=[], region={"AA"})
+        assert str(excinfo.value) == "no feature kind sets given"
+
+    def test_rows_match_a_rescan_per_country(self):
+        # Two kind sets that disagree, a country no prediction hits, and one under the cutoff.
+        examples = (
+            [(TweetRecord(time_zone="ta", user_language="x"), "AA")] * 6
+            + [(TweetRecord(time_zone="ta", user_language="y"), "BB")] * 4
+            + [(TweetRecord(time_zone="tb", user_language="y"), "BB")] * 3
+            + [(TweetRecord(time_zone="tc", user_language="x"), "CC")] * 2
+            + [(TweetRecord(time_zone="td", user_language="y"), "DD")]
+        )
+        data = LabeledDataset(examples, source="mixed")
+        kind_sets = [(K.TIMEZONE,), (K.USER_LANGUAGE,)]
+        report = per_country_report(data, kind_sets=kind_sets, min_count=2, region={"AA"})
+        labels = data.labels()
+        union = (K.TIMEZONE, K.USER_LANGUAGE)
+        vectors = data.vectors(None, union, True)
+        model = train(zip(vectors, labels), enabled_kinds=union)
+        expected = []
+        for country in sorted(set(labels) - {"DD"}, key=lambda c: (-labels.count(c), c)):
+            indices = [i for i, label in enumerate(labels) if label == country]
+            accuracies = tuple(
+                Fraction(sum(classify(model, vectors[i], kinds=kinds) == country for i in indices), len(indices))
+                for kinds in kind_sets
+            )
+            expected.append((country, len(indices), accuracies))
+        assert [(row.country, row.n, row.accuracies) for row in report.rows] == expected
+        assert [row.accuracies for row in report.rows][-1] == (Fraction(1), Fraction(0))
+        assert report.omitted_countries == 1
 
 
 def predicted_tags(model, vector):

@@ -40,6 +40,8 @@ from tweetcountry.geocode import (
 )
 from tweetcountry.tweet_model import bundled_data
 
+from reference_impl import reference_unescape_key
+
 
 class CountingRemote:
     """Remote stub that records every call it receives."""
@@ -326,6 +328,29 @@ class TestCache:
         assert not {"\t", "\n", "\r"} & set(escaped)
         assert geocode._unescape_key(escaped) == key
 
+    @given(st.text(st.sampled_from("\\tnrx \n\r")) | st.text())
+    @example("\\x")
+    @example("key\\")
+    @example("\\" * 7)
+    @example("\\\n\\\\t")
+    def test_unescape_matches_the_character_loop(self, key):
+        # An unknown escape keeps its character, and a trailing backslash stays.
+        assert geocode._unescape_key(key) == reference_unescape_key(key)
+
+    @pytest.mark.parametrize("n", [10**5, 2 * 10**5, 10**5 + 1])
+    def test_unescape_work_is_linear_in_backslashes(self, monkeypatch, n):
+        lookups = []
+
+        class CountingMap(dict):
+            def get(self, *args):
+                lookups.append(args[0])
+                return super().get(*args)
+
+        monkeypatch.setattr(geocode, "_UNESCAPES", CountingMap(geocode._UNESCAPES))
+        # Each pair is one escape, looked up once; an odd last backslash stays as it is.
+        assert geocode._unescape_key("\\" * n) == "\\" * (n // 2 + n % 2)
+        assert len(lookups) == n // 2
+
     def test_invalid_outcome_skipped(self, tmp_path):
         path = tmp_path / "cache.tsv"
         path.write_text("k\tNLX\tsrc\t2024-01-01\n", encoding="utf-8")
@@ -386,6 +411,41 @@ class TestCache:
         if with_file:
             assert path.read_bytes() == before
             assert len(GeocodeCache(path)) == 1
+
+    @pytest.mark.parametrize("with_file", [False, True])
+    @pytest.mark.parametrize(
+        "key, country, message",
+        [
+            ("", "FR", "cache key must be non-empty"),
+            ("k", "fr", "invalid cached country 'fr'"),
+            ("k", "FRA", "invalid cached country 'FRA'"),
+            ("k", "", "invalid cached country ''"),
+        ],
+        ids=["empty-key", "lowercase", "three-letters", "empty-country"],
+    )
+    def test_rejected_put_changes_nothing(self, tmp_path, with_file, key, country, message):
+        path = tmp_path / "cache.tsv"
+        cache = GeocodeCache(path if with_file else None)
+        cache.put("a", "NL", "x")
+        before = path.read_bytes() if with_file else None
+        with pytest.raises(ValueError) as excinfo:
+            cache.put(key, country, "gazetteer")
+        assert str(excinfo.value) == message
+        assert len(cache) == 1
+        assert cache.get(key) is None
+        if with_file:
+            assert path.read_bytes() == before
+
+    def test_compact_without_a_file_counts_and_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = GeocodeCache()
+        cache.put("b", "NL", "x")
+        cache.put("a", None, "x")
+        cache.put("b", "BE", "x")
+        assert cache.compact() == 2
+        assert cache.get("b").country == "BE"
+        assert cache.get("a").country is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_held_descriptor_writes_what_per_put_opens_write(self, tmp_path, monkeypatch):
         opened = []
