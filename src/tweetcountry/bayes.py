@@ -30,7 +30,8 @@ from functools import cached_property
 from itertools import filterfalse, islice
 from operator import add, itemgetter
 from pathlib import Path
-from typing import Any, Container, Iterable, Iterator
+from types import MappingProxyType
+from typing import Any, Container, Iterable, Iterator, Mapping
 
 from .atomic import write_json_atomic
 from .errors import CorruptModel, EmptyTrainingSet
@@ -85,6 +86,9 @@ class NaiveBayesModel(ValueClass):
         """
         return CompiledModel(self)
 
+
+# The majority classes of a kind the model does not enable.
+_NO_MAJORITIES: Mapping[str, str | None] = MappingProxyType({})
 
 # The enabled kinds a vector has in-vocabulary values of, and the prior mode.
 _StartKey = tuple[tuple[FeatureKind, ...], bool]
@@ -194,7 +198,7 @@ class CompiledModel:
 
         None for an out-of-vocabulary value and for a kind the model does not enable.
         """
-        return self._majority.get(kind, {}).get(value)
+        return self._majority.get(kind, _NO_MAJORITIES).get(value)
 
 
 def train(

@@ -47,6 +47,7 @@ from .tweet_model import (
     labeled_line,
     number,
     parse_tweet,
+    prediction_line,
     read_ndjson,
     table_lines,
 )
@@ -219,14 +220,6 @@ def _write_reports(cfg: SimpleNamespace, report, write_json, write_csv) -> dict:
     return {"report_json": cfg.report_json, "report_csv": cfg.report_csv}
 
 
-# json.dumps with options builds an encoder per call; output lines share one.
-_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
-
-
-def _dump_line(obj: dict) -> str:
-    return _LINE_ENCODER.encode(obj)
-
-
 def _records(cfg: SimpleNamespace, totals: dict[str, int]) -> Iterator[tuple[int, TweetRecord]]:
     """Yield (line number, record) for each well-formed line of --input.
 
@@ -305,21 +298,8 @@ def cmd_classify(cfg: SimpleNamespace) -> dict:
         for _, record in _records(cfg, totals):
             vector = extract_features(record, geocoder, model.enabled_kinds, case_fold=cfg.case_fold)
             ranked = log_posterior(model, vector, uniform_priors=cfg.uniform_priors, top=cfg.top)
-            predicted = ranked[0][0]
-            obj = {
-                "id": record.id,
-                "predicted": predicted,
-                "top": [
-                    {
-                        "country": country,
-                        "log_score": score if score != float("-inf") else None,
-                    }
-                    for country, score in ranked
-                ],
-                "diagnostics": sorted(diagnostic_tags(model, vector, predicted)),
-                "config_sha256": cfg.digest,
-            }
-            sink.write(_dump_line(obj) + "\n")
+            tags = sorted(diagnostic_tags(model, vector, ranked[0][0]))
+            sink.write(prediction_line(record.id, ranked, tags, cfg.digest))
             totals["classified"] += 1
     return {**totals, "output": cfg.output}
 

@@ -57,6 +57,8 @@ if TYPE_CHECKING:
 LIMITED_INFORMATION = "LIMITED_INFORMATION"
 BIG_CLASS = "BIG_CLASS"
 OOV_ONLY = "OOV_ONLY"
+# The vocabulary of a kind the model has none for.
+_NO_VALUES: frozenset[str] = frozenset()
 
 _K = FeatureKind
 
@@ -645,17 +647,20 @@ def diagnostic_tags(
     tags: set[str] = set()
     if len(vector) <= 1:
         tags.add(LIMITED_INFORMATION)
+    vocabulary = model.vocabulary
     in_vocab = [
         (kind, value)
         for kind, value in vector.items()
-        if value in model.vocabulary.get(kind, set())
+        if value in vocabulary.get(kind, _NO_VALUES)
     ]
-    if vector and not in_vocab:
-        tags.add(OOV_ONLY)
-    if in_vocab and all(
-        majority_class(model, kind, value) == predicted for kind, value in in_vocab
-    ):
-        tags.add(BIG_CLASS)
+    if not in_vocab:
+        if vector:
+            tags.add(OOV_ONLY)
+        return tags
+    for kind, value in in_vocab:
+        if majority_class(model, kind, value) != predicted:
+            return tags
+    tags.add(BIG_CLASS)
     return tags
 
 

@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import MalformedInput, RemoteUnavailable, ResolverFailure
 
@@ -507,12 +507,13 @@ def to_flat_dict(tweet: TweetRecord) -> dict[str, Any]:
 _quote = encode_basestring
 _float_text = float.__repr__
 _int_text = int.__repr__
+_MINUS_INF = float("-inf")
 
 
 def labeled_line(tweet: TweetRecord, country: str, digest: str) -> str:
     """The labeled NDJSON line of a record, "\\n" included: ``to_flat_dict``'s
-    keys plus "country" and "config_sha256", encoded as the CLI's line
-    encoder (``ensure_ascii=False, sort_keys=True``) encodes that dict.
+    keys plus "country" and "config_sha256", encoded as ``json.dumps`` with
+    ``ensure_ascii=False, sort_keys=True`` encodes that dict.
 
     The keys are written in sorted order, each value by the function the
     encoder uses, so there is no dict, sort or encoder per line. It serves
@@ -540,6 +541,31 @@ def labeled_line(tweet: TweetRecord, country: str, digest: str) -> str:
     if offset is not None:
         parts += (', "utc_offset_seconds": ', _int_text(offset))
     parts.append("}\n")
+    return "".join(parts)
+
+
+def prediction_line(
+    tweet_id: str, ranked: Sequence[tuple[str, float]], tags: Iterable[str], digest: str
+) -> str:
+    """The prediction NDJSON line of one tweet, "\\n" included: its id, the
+    first country of ``ranked`` as "predicted", every (country, log score)
+    pair of ``ranked`` under "top", ``tags`` in the order given under
+    "diagnostics", and the digest. A -inf score is written as null.
+
+    As ``labeled_line``, it writes the keys in sorted order and each value by
+    the function ``json.dumps`` with ``ensure_ascii=False, sort_keys=True``
+    uses, so there is no dict or encoder per line. It serves rankings from
+    ``log_posterior``, whose scores are finite or -inf;
+    ``test_prediction_line_matches_the_line_encoder`` in
+    tests/test_tweet_model.py pins it to that encoder.
+    """
+    parts = ['{"config_sha256": ', _quote(digest), ', "diagnostics": [', ", ".join(map(_quote, tags)),
+             '], "id": ', _quote(tweet_id), ', "predicted": ', _quote(ranked[0][0]), ', "top": [']
+    for country, score in ranked:
+        parts += ('{"country": ', _quote(country), ', "log_score": ',
+                  "null" if score == _MINUS_INF else _float_text(score), "}, ")
+    # The last entry closes the list and the line instead.
+    parts[-1] = "}]}\n"
     return "".join(parts)
 
 

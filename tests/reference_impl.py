@@ -4,10 +4,11 @@
 (with ``TweetRecord``'s construction checks), ``extract_features`` (with its
 per-kind if-chain), ``model_from_dict`` (with every message formatted before
 its check), ``model_to_dict`` (with every table sorted), the geocode cache
-loader (one decode per line) and its key unescaping (a character loop) are
-kept here verbatim in behaviour, so property tests can check that the tuned
-code returns the same objects, records, vectors, models, documents, keys and
-cache entries and raises or warns with the same messages, in the same order.
+loader (one decode per line), its key unescaping (a character loop) and the
+encoder output lines went through (a dict per line) are kept here verbatim
+in behaviour, so property tests can check that the tuned code returns the
+same objects, records, vectors, models, documents, keys, cache entries and
+lines and raises or warns with the same messages, in the same order.
 They are test oracles only; nothing in the package imports them.
 
 The value classes the package once built with ``@dataclass`` are kept here
@@ -501,6 +502,17 @@ def reference_model_to_dict(model: NaiveBayesModel, config: dict | None = None) 
     if config is not None:
         document["config"] = config
     return document
+
+
+# json.dumps with options builds an encoder per call; every line shared one.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
+def reference_dump_line(obj: dict) -> str:
+    """An NDJSON output line as the CLI encoded it from a dict, before
+    ``labeled_line`` and ``prediction_line`` wrote each line straight; no
+    line feed."""
+    return _LINE_ENCODER.encode(obj)
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,13 +9,18 @@ import errno
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import types
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tweetcountry
 from tweetcountry import bayes, cli, evaluation
@@ -30,9 +35,11 @@ from tweetcountry.cli import (
     parse_config_file,
 )
 from tweetcountry.evaluation import config_digest, load_labeled_ndjson
+from tweetcountry.features import FeatureKind
 from tweetcountry.tweet_model import parse_tweet, to_flat_dict
 
 from conftest import make_separable_corpus
+from oracle_bayes import log_of_fraction, reference_probabilities, reference_ranking
 from strategies import BEYOND_FLOAT, DIGIT_LIMIT, LONG_INTEGER
 
 needs_digit_limit = pytest.mark.skipif(
@@ -352,6 +359,131 @@ class TestClassify:
         text = " ".join(capsys.readouterr().out.split())
         assert "case-fold location and timezone values (default: the setting recorded in the model;" in text
         assert "(default: on)" not in text
+
+
+# Flat record fields and the kinds they feed, each with a few values: case
+# folding merges the first two locations and time zones, and a value may be
+# missing from the training lines, so a query meets it out of vocabulary.
+_ORACLE_FIELDS = {
+    "user_location": (FeatureKind.LOCATION, ["Alpha", "alpha", "Beta"]),
+    "time_zone": (FeatureKind.TIMEZONE, ["Zone/A", "zone/a", "Zone/B"]),
+    "tweet_language": (FeatureKind.TWEET_LANGUAGE, ["en", "nl"]),
+    "utc_offset_seconds": (FeatureKind.UTC_OFFSET, [0, 3600]),
+    "user_language": (FeatureKind.USER_LANGUAGE, ["en", "fr"]),
+}
+_oracle_tweets = st.fixed_dictionaries(
+    {}, optional={name: st.sampled_from(values) for name, (_, values) in _ORACLE_FIELDS.items()}
+)
+
+
+def _oracle_vector(fields, kinds, case_fold):
+    """The feature vector of a record's fields, derived without the package."""
+    vector = {}
+    for name, value in fields.items():
+        kind = _ORACLE_FIELDS[name][0]
+        if kind in kinds:
+            text = str(value)
+            folds = case_fold and kind in (FeatureKind.LOCATION, FeatureKind.TIMEZONE)
+            vector[kind] = text.casefold() if folds else text
+    return vector
+
+
+def _oracle_tags(examples, vector, predicted):
+    """classify's diagnostics, recounted from the training vectors."""
+    counts = {}
+    for trained, label in examples:
+        for kind, value in trained.items():
+            per_class = counts.setdefault((kind, value), {})
+            per_class[label] = per_class.get(label, 0) + 1
+    known = [counts[item] for item in vector.items() if item in counts]
+    tags = []
+    # The majority class of a value: the highest count, ties to the smaller code.
+    if known and all(min(c, key=lambda label: (-c[label], label)) == predicted for c in known):
+        tags.append("BIG_CLASS")
+    if len(vector) <= 1:
+        tags.append("LIMITED_INFORMATION")
+    if vector and not known:
+        tags.append("OOV_ONLY")
+    return tags
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    training=st.lists(st.tuples(_oracle_tweets, st.sampled_from(["AA", "BB", "CC", "DD"])), min_size=1, max_size=10),
+    queries=st.lists(_oracle_tweets, min_size=1, max_size=4),
+    kinds=st.lists(st.sampled_from([kind for kind, _ in _ORACLE_FIELDS.values()]), min_size=1, unique=True),
+    alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    case_fold=st.booleans(),
+    uniform=st.booleans(),
+    top=st.integers(1, 6),
+)
+# Equal classes that no query value touches tie exactly; ties rank by code.
+@example(
+    training=[({"time_zone": "Zone/A"}, "BB"), ({"time_zone": "Zone/B"}, "AA")],
+    queries=[{"time_zone": "Zone/C"}, {}],
+    kinds=[FeatureKind.TIMEZONE], alpha=1.0, case_fold=True, uniform=False, top=2,
+)
+# alpha 0 rules every class out for the first query, so the ranking falls back
+# to the priors. The second is in vocabulary only if case-folded, which the
+# model was not.
+@example(
+    training=[({"time_zone": "Zone/A"}, "BB"), ({"user_language": "en"}, "AA"),
+              ({"time_zone": "zone/a", "user_language": "en"}, "AA"), ({"time_zone": "Zone/B"}, "AA")],
+    queries=[{"time_zone": "Zone/A", "user_language": "en"}, {"time_zone": "ZONE/A"}],
+    kinds=[FeatureKind.TIMEZONE, FeatureKind.USER_LANGUAGE], alpha=0.0, case_fold=False,
+    uniform=False, top=5,
+)
+def test_train_then_classify_matches_the_exact_oracle(training, queries, kinds, alpha, case_fold, uniform, top):
+    """train then classify --top N through main: every line against exact
+    fractions. classify is given no case-fold flag, so it applies the
+    model's."""
+    kinds = tuple(kind for kind in FeatureKind if kind in kinds)
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+        paths = {name: os.path.join(tmp, name) for name in ("labeled", "raw", "model", "out")}
+        with open(paths["labeled"], "w", encoding="utf-8") as handle:
+            for index, (fields, country) in enumerate(training):
+                handle.write(json.dumps({"id": str(index), "text": "", **fields, "country": country}) + "\n")
+        with open(paths["raw"], "w", encoding="utf-8") as handle:
+            for index, fields in enumerate(queries):
+                handle.write(json.dumps({"id": f"q{index}", "text": "", **fields}) + "\n")
+        assert main([
+            "train", "--input", paths["labeled"], "--model", paths["model"], "--alpha", repr(alpha),
+            "--kinds", "+".join(kind.value for kind in kinds), "--case-fold" if case_fold else "--no-case-fold",
+        ]) == EXIT_OK
+        assert main(
+            ["classify", "--input", paths["raw"], "--model", paths["model"], "--output", paths["out"],
+             "--top", str(top)] + (["--uniform-priors"] if uniform else [])
+        ) == EXIT_OK
+        with open(paths["out"], encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
+    examples = [(_oracle_vector(fields, kinds, case_fold), country) for fields, country in training]
+    assert [line["id"] for line in lines] == [f"q{index}" for index in range(len(queries))]
+    for line, fields in zip(lines, queries):
+        vector = _oracle_vector(fields, kinds, case_fold)
+        masses = reference_probabilities(examples, alpha, kinds, vector, uniform)
+        ranked = [(entry["country"], entry["log_score"]) for entry in line["top"]]
+        countries = [country for country, _ in ranked]
+        assert len(ranked) == min(top, len(masses))
+        assert line["predicted"] == countries[0]
+        for country, score in ranked:
+            expected = log_of_fraction(masses[country])
+            if expected == -math.inf:
+                assert score is None
+            else:
+                assert abs(score - expected) <= 1e-9
+        if all(mass is None for mass in masses.values()):
+            assert countries == reference_ranking(examples, alpha, kinds, vector, uniform)[:top]
+        else:
+            # No class outside the list or after a class in it has more exact mass,
+            # and the list is ordered by (-score, country).
+            exact = {country: -1 if mass is None else mass for country, mass in masses.items()}
+            assert exact[countries[0]] == max(exact.values())
+            for position, country in enumerate(countries):
+                later = countries[position + 1:] + [c for c in masses if c not in countries]
+                assert all(exact[country] >= exact[other] for other in later)
+            keys = [(math.inf if score is None else -score, country) for country, score in ranked]
+            assert keys == sorted(keys)
+        assert line["diagnostics"] == _oracle_tags(examples, vector, line["predicted"])
 
 
 class TestEvaluate:
@@ -1265,7 +1397,7 @@ class TestRecordCommands:
         before = sorted(os.listdir(tmp_path))
         written = []
         # Each command's function that turns one record into its output line.
-        hooked = "labeled_line" if command == "label" else "_dump_line"
+        hooked = "labeled_line" if command == "label" else "prediction_line"
         real_line = getattr(cli, hooked)
 
         def fail_on_third_record(*line_args):

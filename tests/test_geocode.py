@@ -205,6 +205,19 @@ class TestGazetteer:
         assert table.lookup(query) is None
         assert table._entries.probes > tokens
 
+    @pytest.mark.parametrize("words", [False, True])
+    def test_comma_query_probes_grow_linearly(self, words):
+        table = default_gazetteer()
+        longest = max(len(key.split()) for key in table._entries)
+        commas = 10**5
+        segments = commas + 1
+        # The whole query, one probe per comma segment, then at most one per
+        # span start and length; bare commas leave no segment or token to probe.
+        table._entries = CountingEntries(table._entries, budget=1 + segments + longest * segments)
+        query = ",".join(f"w{index}" for index in range(segments)) if words else "," * commas
+        assert table.lookup(query) is None
+        assert table._entries.probes > segments if words else table._entries.probes == 1
+
     @given(
         st.dictionaries(
             st.lists(_WORDS, min_size=1, max_size=4).map(" ".join),
@@ -350,6 +363,42 @@ class TestCache:
         # Each pair is one escape, looked up once; an odd last backslash stays as it is.
         assert geocode._unescape_key("\\" * n) == "\\" * (n // 2 + n % 2)
         assert len(lookups) == n // 2
+
+    def test_load_work_is_linear_in_lines_for_one_key(self, tmp_path, monkeypatch):
+        # 10^5 lines for "paris", every third escaped ("\\p" reads as "p"), every
+        # fifth negative; the last line wins.
+        n = 10**5
+        lines = [
+            ("\\paris" if index % 3 == 0 else "paris")
+            + ("\t-" if index % 5 == 0 else "\tFR")
+            + f"\tsrc\t{index}\n"
+            for index in range(n - 1)
+        ]
+        lines.append("paris\tNL\tlast\t2024-01-01\n")
+        path = tmp_path / "cache.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        calls = {"is_country_code": 0, "_unescape_key": 0}
+
+        def counted(name):
+            real = getattr(geocode, name)
+
+            def count(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(geocode, name, counted(name))
+        monkeypatch.setattr(geocode, "warn", mock.Mock(side_effect=AssertionError("warned")))
+        cache = GeocodeCache(path)
+        assert len(cache) == 1
+        assert cache.get("paris") == geocode.CacheEntry("NL", "last", "2024-01-01")
+        # Once per line with a country outcome, and once per escaped key.
+        assert calls == {
+            "is_country_code": sum(1 for index in range(n - 1) if index % 5) + 1,
+            "_unescape_key": sum(1 for index in range(n - 1) if index % 3 == 0),
+        }
 
     def test_invalid_outcome_skipped(self, tmp_path):
         path = tmp_path / "cache.tsv"

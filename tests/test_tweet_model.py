@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tweetcountry import cli
 from tweetcountry.errors import MalformedInput, RemoteUnavailable, ResolverFailure
 from tweetcountry.tweet_model import (
     OTHER_LABEL,
@@ -19,6 +19,7 @@ from tweetcountry.tweet_model import (
     label_of,
     labeled_line,
     parse_tweet,
+    prediction_line,
     record_from_dict,
     to_flat_dict,
 )
@@ -27,6 +28,7 @@ from reference_impl import (
     ConstructionDiverged,
     reference_construct,
     reference_decode_object,
+    reference_dump_line,
     reference_record_from_dict,
 )
 from strategies import (
@@ -309,8 +311,46 @@ def test_labeled_line_matches_the_line_encoder(obj, country, digest):
             record = record_from_dict(obj)
         except MalformedInput:
             return
-    expected = cli._dump_line({**to_flat_dict(record), "country": country, "config_sha256": digest}) + "\n"
+    expected = reference_dump_line({**to_flat_dict(record), "country": country, "config_sha256": digest}) + "\n"
     assert labeled_line(record, country, digest) == expected
+
+
+# log_posterior's scores: finite, or -inf for a class a zero count ruled out.
+_scores = st.one_of(
+    st.sampled_from([-math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-05, -1e-05, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(-math.inf),
+)
+_tags = st.lists(
+    st.one_of(st.sampled_from(["BIG_CLASS", "LIMITED_INFORMATION", "OOV_ONLY"]), strings),
+    max_size=3,
+)
+_NASTY = 'q"\\ \x00\x1f\x7f \u2028\u2029 é \U0001f600'
+
+
+@settings(max_examples=300)
+@given(strings, st.lists(st.tuples(strings, _scores), min_size=1, max_size=6), _tags, strings)
+@example("1", [("NL", -0.5)], [], "0" * 64)
+@example(_NASTY, [(_NASTY, -math.inf)], ["OOV_ONLY"], _NASTY)
+@example(
+    "\U0001f600",
+    [("NL", -0.0), ("GB", 5e-324), ("FR", 1e-05), ("DE", -1e300), ("ZZ", -math.inf)],
+    ["BIG_CLASS", "LIMITED_INFORMATION"],
+    "\u2028",
+)
+def test_prediction_line_matches_the_line_encoder(tweet_id, ranked, tags, digest):
+    # The dict classify once built per tweet, with -inf scores as None.
+    obj = {
+        "id": tweet_id,
+        "predicted": ranked[0][0],
+        "top": [
+            {"country": country, "log_score": score if score != -math.inf else None}
+            for country, score in ranked
+        ],
+        "diagnostics": tags,
+        "config_sha256": digest,
+    }
+    assert prediction_line(tweet_id, ranked, tags, digest) == reference_dump_line(obj) + "\n"
 
 
 class FixedResolver:
