@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Any, Iterator, TextIO
 
 
-def _standard_stream_fd(path: Path) -> int | None:
+def _standard_stream_fd(path: str | Path) -> int | None:
     """1 or 2 when path is the same file as this process's stdout or stderr."""
     try:
         target_stat = os.stat(path)
@@ -22,6 +22,12 @@ def _standard_stream_fd(path: Path) -> int | None:
         except OSError:
             continue
     return None
+
+
+def writes_in_place(path: str | Path) -> bool:
+    """Whether open_atomic writes path in place, as a standard stream or an
+    existing file that is not regular, rather than replacing it."""
+    return _standard_stream_fd(path) is not None or (os.path.exists(path) and not os.path.isfile(path))
 
 
 @contextmanager
@@ -41,13 +47,9 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
     file, such as a pipe, cannot be replaced and is written directly.
     """
     target = Path(path)
-    stream_fd = _standard_stream_fd(target)
-    if stream_fd is not None:
-        with open(os.dup(stream_fd), "w", encoding="utf-8") as handle:
-            yield handle
-        return
-    if target.exists() and not target.is_file():
-        with open(target, "w", encoding="utf-8") as handle:
+    if writes_in_place(target):
+        stream_fd = _standard_stream_fd(target)
+        with open(target if stream_fd is None else os.dup(stream_fd), "w", encoding="utf-8") as handle:
             yield handle
         return
     # realpath, not Path.resolve: on Python before 3.13, resolve raises

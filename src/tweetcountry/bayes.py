@@ -378,11 +378,15 @@ def _bad_count(what: str, value: Any, minimum: int = 0) -> CorruptModel:
     return CorruptModel(f"{what} must be an integer >= {minimum}, got {_shown(value)}")
 
 
-def _kind(name: Any) -> FeatureKind:
+def _enabled_kind(name: str, enabled: Container[FeatureKind], table: str) -> FeatureKind:
+    """The kind a key of ``table`` names; CorruptModel unless it is known and enabled."""
     try:
-        return kind_from_name(name)
+        kind = kind_from_name(name)
     except ValueError as exc:
         raise CorruptModel(str(exc)) from None
+    if kind not in enabled:
+        raise CorruptModel(f"{table} uses disabled kind {name!r}")
+    return kind
 
 
 def _config_of(document: dict) -> dict | None:
@@ -428,13 +432,12 @@ def model_from_dict(document: Any) -> NaiveBayesModel:
     raw_classes = document.get("class_count")
     if not (isinstance(raw_classes, dict) and raw_classes):
         raise CorruptModel("class_count must be a non-empty object")
-    class_count: dict[str, int] = {}
     for country, count in raw_classes.items():
         if not is_country_code(country):
             raise CorruptModel(f"invalid class label {country!r}")
         if not _is_count(count, minimum=1):
             raise _bad_count(f"class_count[{country}]", count, minimum=1)
-        class_count[country] = count
+    class_count: dict[str, int] = dict(raw_classes)
     if document.get("total_examples") != sum(class_count.values()):
         raise CorruptModel("total_examples does not match class_count")
 
@@ -465,26 +468,20 @@ def model_from_dict(document: Any) -> NaiveBayesModel:
         per_kind: dict[FeatureKind, dict[str, int]] = {}
         totals: dict[FeatureKind, int] = {}
         for name, values in per_kind_raw.items():
-            kind = _kind(name)
-            if kind not in enabled:
-                raise CorruptModel(f"value_count uses disabled kind {name!r}")
+            kind = _enabled_kind(name, enabled, "value_count")
             if not isinstance(values, dict):
                 raise CorruptModel(f"value_count[{country}][{name}] must be an object")
-            counts: dict[str, int] = {}
             seen = seen_values[kind]
             for value, count in values.items():
                 if not (isinstance(value, str) and value):
                     raise CorruptModel(f"empty feature value under {name!r}")
                 if not _is_count(count):
                     raise _bad_count(f"value_count[{country}][{name}][{value}]", count)
-                counts[value] = count
                 if count > 0:
                     seen.add(value)
-            per_kind[kind] = counts
+            per_kind[kind] = dict(values)
         for name, count in totals_raw.items():
-            kind = _kind(name)
-            if kind not in enabled:
-                raise CorruptModel(f"kind_total uses disabled kind {name!r}")
+            kind = _enabled_kind(name, enabled, "kind_total")
             if not _is_count(count):
                 raise _bad_count(f"kind_total[{country}][{name}]", count)
             totals[kind] = count
@@ -503,9 +500,7 @@ def model_from_dict(document: Any) -> NaiveBayesModel:
 
     vocabulary: dict[FeatureKind, set[str]] = {kind: set() for kind in kinds}
     for name, values in raw_vocab.items():
-        kind = _kind(name)
-        if kind not in enabled:
-            raise CorruptModel(f"vocabulary uses disabled kind {name!r}")
+        kind = _enabled_kind(name, enabled, "vocabulary")
         if not (isinstance(values, list) and all(isinstance(v, str) and v for v in values)):
             raise CorruptModel(f"vocabulary[{name}] must be a list of non-empty strings")
         vocabulary[kind] = set(values)

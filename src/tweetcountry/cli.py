@@ -23,7 +23,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Iterator
 
 from . import errors
-from .atomic import open_atomic
+from .atomic import open_atomic, writes_in_place
 # The exit codes are re-exported here, where callers of main look for them.
 from .errors import EXIT_GEOCODER, EXIT_INPUT, EXIT_MODEL  # noqa: F401
 from .errors import MalformedInput, ResolverFailure, TweetCountryError
@@ -192,29 +192,34 @@ def _require_paths(cfg: SimpleNamespace, *names: str) -> None:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _check_target(path: str) -> None:
-    """Raise OSError naming path unless its directory exists and path is not
-    a directory."""
+def _check_target(path: str) -> str:
+    """The real path of path. Raise OSError naming path unless its directory
+    exists and path is not a directory."""
     try:
         # realpath, not Path.resolve, which raises RuntimeError on a symlink
         # loop before Python 3.13; os.stat below raises ELOOP.
-        target = Path(os.path.realpath(path))
-        if target.is_dir():
+        target = os.path.realpath(path)
+        if os.path.isdir(target):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        if not stat.S_ISDIR(os.stat(target.parent).st_mode):
+        if not stat.S_ISDIR(os.stat(os.path.dirname(target)).st_mode):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
+    return target
 
 
 def _write_reports(cfg: SimpleNamespace, report, write_json, write_csv) -> dict:
     """Write the report to --report-json and --report-csv, each if given, and
     return both paths for the summary. Both targets are checked before the
-    first is written."""
+    first is written; two that name one file are rejected unless open_atomic
+    writes both in place, as it does a standard stream."""
     targets = ((cfg.report_json, write_json), (cfg.report_csv, write_csv))
     writes = [(path, write) for path, write in targets if path]
-    for path, _ in writes:
-        _check_target(path)
+    real = [_check_target(path) for path, _ in writes]
+    if len(real) == 2 and not all(writes_in_place(path) for path, _ in writes):
+        both_exist = os.path.exists(real[0]) and os.path.exists(real[1])
+        if real[0] == real[1] or both_exist and os.path.samefile(*real):
+            raise ValueError(f"--report-json and --report-csv name the same file: {cfg.report_csv!r}")
     for path, write in writes:
         write(report, path)
     return {"report_json": cfg.report_json, "report_csv": cfg.report_csv}
@@ -304,29 +309,35 @@ def cmd_classify(cfg: SimpleNamespace) -> dict:
     return {**totals, "output": cfg.output}
 
 
-def cmd_evaluate(cfg: SimpleNamespace) -> dict:
-    """Seeded k-fold cross-validation on a labeled NDJSON file."""
-    from .evaluation import (
-        cross_validate,
-        load_labeled_ndjson,
-        write_evaluation_csv,
-        write_evaluation_json,
-    )
+def _labeled_input(cfg: SimpleNamespace) -> tuple[Any, dict[str, Any]]:
+    """Check --input, build the geocoder and load --input: the set-up of evaluate,
+    ablate and report. Returns the data and the options all three pass on."""
+    from .evaluation import load_labeled_ndjson
 
     _require_paths(cfg, "input")
     geocoder = build_geocoder(cfg)
     data = load_labeled_ndjson(cfg.input)
+    return data, {
+        "alpha": cfg.alpha,
+        "geoparser": geocoder,
+        "uniform_priors": cfg.uniform_priors,
+        "case_fold": cfg.case_fold,
+        "config": {"cli": cfg.echo},
+    }
+
+
+def cmd_evaluate(cfg: SimpleNamespace) -> dict:
+    """Seeded k-fold cross-validation on a labeled NDJSON file."""
+    from .evaluation import cross_validate, write_evaluation_csv, write_evaluation_json
+
+    data, shared = _labeled_input(cfg)
     report = cross_validate(
         data,
         k=cfg.k,
         kinds=parse_kinds_label(cfg.kinds),
-        alpha=cfg.alpha,
         seed=cfg.seed,
-        geoparser=geocoder,
         orientation=cfg.fold_orientation,
-        uniform_priors=cfg.uniform_priors,
-        case_fold=cfg.case_fold,
-        config={"cli": cfg.echo},
+        **shared,
     )
     return {
         **_write_reports(cfg, report, write_evaluation_json, write_evaluation_csv),
@@ -361,22 +372,16 @@ def _ablation_subsets(cfg: SimpleNamespace):
 
 def cmd_ablate(cfg: SimpleNamespace) -> dict:
     """Cross-validate a grid of feature subsets against identical folds."""
-    from .evaluation import ablate, load_labeled_ndjson, write_ablation_csv, write_ablation_json
+    from .evaluation import ablate, write_ablation_csv, write_ablation_json
 
-    _require_paths(cfg, "input")
-    geocoder = build_geocoder(cfg)
-    data = load_labeled_ndjson(cfg.input)
+    data, shared = _labeled_input(cfg)
     rows = ablate(
         data,
         subsets=_ablation_subsets(cfg),
         k=cfg.k,
-        alpha=cfg.alpha,
         seed=cfg.seed,
-        geoparser=geocoder,
         orientation=cfg.fold_orientation,
-        uniform_priors=cfg.uniform_priors,
-        case_fold=cfg.case_fold,
-        config={"cli": cfg.echo},
+        **shared,
     )
     best = max(rows, key=lambda row: row.report.pooled_accuracy)
     return {
@@ -399,9 +404,7 @@ def cmd_report(cfg: SimpleNamespace) -> dict:
         write_per_country_json,
     )
 
-    _require_paths(cfg, "input")
-    geocoder = build_geocoder(cfg)
-    train_data = load_labeled_ndjson(cfg.input)
+    train_data, shared = _labeled_input(cfg)
     eval_data = load_labeled_ndjson(cfg.eval_input) if cfg.eval_input else None
     kind_sets = _parse_kind_sets(cfg.kind_sets) if cfg.kind_sets else list(REPORT_KIND_SETS)
     region = load_region(cfg.region_file) if cfg.region_file else default_region()
@@ -410,13 +413,9 @@ def cmd_report(cfg: SimpleNamespace) -> dict:
         eval_data,
         kind_sets=kind_sets,
         min_count=cfg.min_count,
-        alpha=cfg.alpha,
-        geoparser=geocoder,
         region=region,
         region_name=cfg.region_name,
-        uniform_priors=cfg.uniform_priors,
-        case_fold=cfg.case_fold,
-        config={"cli": cfg.echo},
+        **shared,
     )
     return {
         **_write_reports(cfg, report, write_per_country_json, write_per_country_csv),

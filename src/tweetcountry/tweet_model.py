@@ -432,10 +432,11 @@ def table_lines(source: bytes | Iterable[str], name: str) -> Iterator[tuple[str,
     """Yield ("name:lineno", line) for each line of a config, region, gazetteer
     or reverse-point file, given as its bytes (decoded as UTF-8 once) or as
     text lines. A line ends at "\\n" and a "\\r" before it is dropped; blank
-    lines and "#" comments are skipped. Non-UTF-8 bytes raise ValueError."""
+    lines and "#" comments are skipped. One leading byte order mark is dropped
+    from bytes; non-UTF-8 bytes raise ValueError."""
     if isinstance(source, bytes):
         try:
-            source = source.decode("utf-8").split("\n")
+            source = source.decode("utf-8").removeprefix("\ufeff").split("\n")
         except UnicodeDecodeError as exc:
             lineno = source.count(b"\n", 0, exc.start) + 1
             raise ValueError(f"{name}:{lineno}: not UTF-8 text") from None

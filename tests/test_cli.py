@@ -16,10 +16,11 @@ import sys
 import tempfile
 import types
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tweetcountry
@@ -34,9 +35,9 @@ from tweetcountry.cli import (
     main,
     parse_config_file,
 )
-from tweetcountry.evaluation import config_digest, load_labeled_ndjson
+from tweetcountry.evaluation import config_digest, kfold_split, load_labeled_ndjson
 from tweetcountry.features import FeatureKind
-from tweetcountry.tweet_model import parse_tweet, to_flat_dict
+from tweetcountry.tweet_model import FOLD_ORIENTATIONS, parse_tweet, to_flat_dict
 
 from conftest import make_separable_corpus
 from oracle_bayes import log_of_fraction, reference_probabilities, reference_ranking
@@ -486,6 +487,82 @@ def test_train_then_classify_matches_the_exact_oracle(training, queries, kinds, 
         assert line["diagnostics"] == _oracle_tags(examples, vector, line["predicted"])
 
 
+def _oracle_correct(examples, vector, truth, alpha, kinds, uniform):
+    """The least and the most held-out hits (0 or 1) the exact oracle allows
+    for one vector. The prediction is the exact arg-max, ties to the smaller
+    code, as the package breaks ties between equal float scores. Tied classes
+    with the same prior and the same counts for the vector's values score
+    bitwise alike; classes whose exact masses tie only by coincidence may
+    round apart, so then any of them may be predicted."""
+    masses = reference_probabilities(examples, alpha, kinds, vector, uniform)
+    best = reference_ranking(examples, alpha, kinds, vector, uniform)[0]
+    tied = {country for country, mass in masses.items() if mass is not None and mass == masses[best]}
+    known = [kind for kind in kinds if kind in vector and any(row.get(kind) == vector[kind] for row, _ in examples)]
+
+    def terms(country):
+        rows = [trained for trained, label in examples if label == country]
+        value_counts = tuple(sum(row.get(kind) == vector[kind] for row in rows) for kind in known)
+        kind_totals = tuple(sum(kind in row for row in rows) for kind in known)
+        return None if uniform else len(rows), value_counts, kind_totals
+
+    if len({terms(country) for country in tied}) > 1:
+        return 0, int(truth in tied)
+    return (int(best == truth),) * 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corpus=st.lists(st.tuples(_oracle_tweets, st.sampled_from(["AA", "BB", "CC"])), min_size=3, max_size=9),
+    kinds=st.lists(st.sampled_from([kind for kind, _ in _ORACLE_FIELDS.values()]), min_size=1, unique=True),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    case_fold=st.booleans(),
+    uniform=st.booleans(),
+    orientation=st.sampled_from(FOLD_ORIENTATIONS),
+    k=st.integers(2, 4),
+    seed=st.integers(0, 3),
+)
+# Two classes alike in every count tie exactly; the smaller code wins.
+@example(
+    corpus=[({"time_zone": "Zone/A"}, "BB"), ({"time_zone": "Zone/A"}, "AA"), ({"time_zone": "Zone/B"}, "CC"),
+            ({"time_zone": "Zone/B"}, "BB"), ({"time_zone": "Zone/B"}, "AA")],
+    kinds=[FeatureKind.TIMEZONE], alpha=1.0, case_fold=True, uniform=False, orientation="standard", k=5, seed=0,
+)
+# Only the priors set the class apart when every held-out value is out of vocabulary.
+@example(
+    corpus=[({"user_language": "en"}, "BB"), ({"user_language": "en"}, "BB"), ({"user_language": "fr"}, "AA"),
+            ({"user_language": "nl"}, "BB")],
+    kinds=[FeatureKind.USER_LANGUAGE], alpha=1.0, case_fold=True, uniform=False, orientation="inverted", k=3, seed=1,
+)
+def test_evaluate_matches_the_exact_oracle(corpus, kinds, alpha, case_fold, uniform, orientation, k, seed):
+    """evaluate through main: its pooled accuracy against the exact oracle's
+    predictions on the same kfold_split folds."""
+    assume(k <= len(corpus) and len({country for _, country in corpus}) >= 2)
+    kinds = tuple(kind for kind in FeatureKind if kind in kinds)
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()) as out:
+        labeled = os.path.join(tmp, "labeled.ndjson")
+        with open(labeled, "w", encoding="utf-8") as handle:
+            for index, (fields, country) in enumerate(corpus):
+                handle.write(json.dumps({"id": str(index), "text": "", **fields, "country": country}) + "\n")
+        assert main([
+            "evaluate", "--input", labeled, "--k", str(k), "--seed", str(seed), "--fold-orientation", orientation,
+            "--alpha", repr(alpha), "--kinds", "+".join(kind.value for kind in kinds),
+            "--case-fold" if case_fold else "--no-case-fold",
+        ] + (["--uniform-priors"] if uniform else [])) == EXIT_OK
+    summary = json.loads(out.getvalue())
+    examples = [(_oracle_vector(fields, kinds, case_fold), country) for fields, country in corpus]
+    folds = kfold_split(len(examples), k, seed).folds
+    least = most = evaluated = 0
+    for fold in range(k):
+        held_out = [(fold_of == fold) == (orientation == "standard") for fold_of in folds]
+        trained = [pair for pair, held in zip(examples, held_out) if not held]
+        for vector, truth in (pair for pair, held in zip(examples, held_out) if held):
+            low, high = _oracle_correct(trained, vector, truth, alpha, kinds, uniform)
+            least, most, evaluated = least + low, most + high, evaluated + 1
+    assert summary["n_evaluated"] == evaluated
+    # Exact equality wherever no coincidental tie leaves the prediction open.
+    assert least <= Fraction(summary["accuracy_pooled_fraction"]) * evaluated <= most
+
+
 class TestEvaluate:
     def test_perfect_separable_run(self, tmp_path, labeled_file, capsys):
         report_json = tmp_path / "eval.json"
@@ -806,6 +883,71 @@ def test_report_under_a_file_is_not_a_directory(tmp_path, labeled_file, capsys, 
     assert err == f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {bad!r}\n"
     assert [path.name for path in work.iterdir()] == ["a_file"]
     assert (work / "a_file").read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize(
+    "alias, existing",
+    [("out.txt", False), ("./out.txt", False), ("link.txt", False),
+     ("out.txt", True), ("./out.txt", True), ("link.txt", True), ("hard.txt", True)],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["evaluate", "--k", "2"], ["ablate", "--k", "2", "--subsets", "timezone"], ["report"]],
+    ids=lambda argv: argv[0],
+)
+def test_report_json_and_csv_naming_one_file_is_an_input_error(
+    tmp_path, labeled_file, capsys, monkeypatch, command, alias, existing
+):
+    # The CSV would replace the JSON: both are refused before either is written.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / "link.txt").symlink_to("out.txt")
+    if existing:
+        (work / "out.txt").write_bytes(b"old bytes\n")
+        os.link(work / "out.txt", work / "hard.txt")
+    before = sorted(os.listdir(work))
+    argv = command[:1] + ["--input", str(labeled_file)] + command[1:]
+    assert main(argv + ["--report-json", "out.txt", "--report-csv", alias]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: --report-json and --report-csv name the same file: {alias!r}\n")
+    assert sorted(os.listdir(work)) == before
+    if existing:
+        assert (work / "out.txt").read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["evaluate", "--k", "2"], ["ablate", "--k", "2", "--subsets", "timezone"], ["report"]],
+    ids=lambda argv: argv[0],
+)
+def test_report_json_and_csv_may_share_a_target_written_in_place(tmp_path, labeled_file, capsys, command):
+    # /dev/null is not a regular file, so open_atomic writes it in place.
+    argv = command[:1] + ["--input", str(labeled_file)] + command[1:]
+    assert main(argv + ["--report-json", os.devnull, "--report-csv", os.devnull]) == EXIT_OK
+    assert read_summary(capsys)["report_csv"] == os.devnull
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_reports_to_redirected_dev_stdout_keep_both_and_the_summary(tmp_path, labeled_file):
+    package_root = str(Path(tweetcountry.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    captured = tmp_path / "captured.txt"
+    with captured.open("wb") as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "tweetcountry", "evaluate", "--input", str(labeled_file), "--k", "2",
+             "--report-json", "/dev/stdout", "--report-csv", str(captured)],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    assert result.returncode == 0, result.stderr
+    text = captured.read_text(encoding="utf-8")
+    report_end = text.index("}\n# config_sha256=") + 2
+    assert json.loads(text[:report_end])["accuracy_pooled"]["fraction"] == "1/1"
+    summary_start = text.index("\n{\n") + 1
+    assert text[report_end:summary_start].startswith("# config_sha256=")
+    assert json.loads(text[summary_start:])["report_csv"] == str(captured)
 
 
 class TestCache:

@@ -56,6 +56,7 @@ from tweetcountry.tweet_model import (
     is_country_code,
     parse_tweet,
     record_from_dict,
+    table_lines,
     to_flat_dict,
 )
 
@@ -517,6 +518,33 @@ def test_table_readers_share_one_line_rule(tmp_path, name, feed):
     if name == "reverse points":
         with pytest.raises(ValueError, match=re.escape(f"{source}:2: coordinates must be numbers")):
             read(b"52\t4\tNL\tA\nabc\t4\tNL\tB\n")
+
+
+# What each table's two good rows read as, when the first row is read whole.
+_TABLES_READ = {
+    "config": lambda table: table == {"top": 3, "seed": 1},
+    "region": lambda table: table == {"NL", "DE"},
+    "gazetteer": lambda table: len(table) == 2 and table.get("Paris") == "FR",
+    "reverse points": lambda table: len(table) == 2,
+}
+
+
+@pytest.mark.parametrize("name", TABLE_READERS)
+def test_table_readers_drop_a_leading_byte_order_mark(tmp_path, name):
+    """A file saved as UTF-8 with a BOM reads like the same file without it."""
+    load, _, rows, _, _ = TABLE_READERS[name]
+    path = tmp_path / "table.txt"
+    path.write_bytes("\ufeff".encode("utf-8") + "".join(row + "\n" for row in rows).encode("utf-8"))
+    assert _TABLES_READ[name](load(path))
+
+
+def test_table_lines_drops_one_byte_order_mark_from_bytes_only():
+    assert list(table_lines(b"\xef\xbb\xbf\xef\xbb\xbfa\nb\n", "t")) == [("t:1", "\ufeffa"), ("t:2", "b")]
+    assert list(table_lines(["\ufeffa\n"], "t")) == [("t:1", "\ufeffa")]
+    # A BOM before a comment or a blank line leaves it skipped.
+    assert list(table_lines(b"\xef\xbb\xbf# note\nb\n", "t")) == [("t:2", "b")]
+    gazetteer = parse_gazetteer(b"\xef\xbb\xbfAmsterdam\tNL\nLeiden\tNL\n", "g")
+    assert gazetteer.lookup("Amsterdam") == "NL"
 
 
 # Path-valued config keys and flags draw from these names in the run directory.
