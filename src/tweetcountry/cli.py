@@ -186,42 +186,42 @@ def build_geocoder(cfg: SimpleNamespace) -> Geocoder:
     )
 
 
-def _require_paths(cfg: SimpleNamespace, *names: str) -> None:
+def _require_paths(cfg: SimpleNamespace, *names: str, outputs: tuple[str, ...] = ()) -> None:
+    """Check, before any input is read, that each of names is given, that each
+    output given sits in a directory and is not one (else OSError naming it), and
+    that no two outputs or --cache name one file that open_atomic would
+    replace. An existing file is known by inode, so a hard link counts."""
     for name in names:
         if cfg.echo[name] in (None, ""):
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
-
-
-def _check_target(path: str) -> str:
-    """The real path of path. Raise OSError naming path unless its directory
-    exists and path is not a directory."""
-    try:
-        # realpath, not Path.resolve, which raises RuntimeError on a symlink
-        # loop before Python 3.13; os.stat below raises ELOOP.
-        target = os.path.realpath(path)
-        if os.path.isdir(target):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        if not stat.S_ISDIR(os.stat(os.path.dirname(target)).st_mode):
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    return target
+    seen: dict[object, str] = {}
+    for name in (*outputs, "cache"):
+        path, flag = cfg.echo[name], "--" + name.replace("_", "-")
+        if not path:
+            continue
+        # realpath: Path.resolve raises RuntimeError on a symlink loop before Python 3.13.
+        real = os.path.realpath(path)
+        try:
+            if name != "cache" and os.path.isdir(real):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if name != "cache" and not stat.S_ISDIR(os.stat(os.path.dirname(real)).st_mode):
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        if writes_in_place(path):
+            continue
+        info = os.stat(real) if os.path.exists(real) else None
+        key = (info.st_ino, info.st_dev) if info else real
+        if key in seen:
+            raise ValueError(f"{seen[key]} and {flag} name the same file: {path!r}")
+        seen[key] = flag
 
 
 def _write_reports(cfg: SimpleNamespace, report, write_json, write_csv) -> dict:
-    """Write the report to --report-json and --report-csv, each if given, and
-    return both paths for the summary. Both targets are checked before the
-    first is written; two that name one file are rejected unless open_atomic
-    writes both in place, as it does a standard stream."""
-    targets = ((cfg.report_json, write_json), (cfg.report_csv, write_csv))
-    writes = [(path, write) for path, write in targets if path]
-    real = [_check_target(path) for path, _ in writes]
-    if len(real) == 2 and not all(writes_in_place(path) for path, _ in writes):
-        both_exist = os.path.exists(real[0]) and os.path.exists(real[1])
-        if real[0] == real[1] or both_exist and os.path.samefile(*real):
-            raise ValueError(f"--report-json and --report-csv name the same file: {cfg.report_csv!r}")
-    for path, write in writes:
-        write(report, path)
+    """Write each report given (_require_paths checked both) and return both paths."""
+    for path, write in ((cfg.report_json, write_json), (cfg.report_csv, write_csv)):
+        if path:
+            write(report, path)
     return {"report_json": cfg.report_json, "report_csv": cfg.report_csv}
 
 
@@ -244,7 +244,7 @@ def _records(cfg: SimpleNamespace, totals: dict[str, int]) -> Iterator[tuple[int
 
 def cmd_label(cfg: SimpleNamespace) -> dict:
     """Read raw tweets, write records whose country could be derived."""
-    _require_paths(cfg, "input", "output")
+    _require_paths(cfg, "input", "output", outputs=("output",))
     geocoder = build_geocoder(cfg)
     totals = {"total": 0, "labeled": 0, "skipped": 0, "malformed": 0}
     with open_atomic(cfg.output) as sink:
@@ -269,7 +269,7 @@ def cmd_train(cfg: SimpleNamespace) -> dict:
     from .bayes import save_model, train
     from .evaluation import load_labeled_ndjson
 
-    _require_paths(cfg, "input", "model")
+    _require_paths(cfg, "input", "model", outputs=("model",))
     geocoder = build_geocoder(cfg)
     data = load_labeled_ndjson(cfg.input)
     kinds = parse_kinds_label(cfg.kinds)
@@ -289,7 +289,7 @@ def cmd_classify(cfg: SimpleNamespace) -> dict:
     from .bayes import load_model, log_posterior
     from .evaluation import diagnostic_tags
 
-    _require_paths(cfg, "input", "output", "model")
+    _require_paths(cfg, "input", "output", "model", outputs=("output",))
     model = load_model(cfg.model)
     trained_case_fold = (model.config or {}).get("case_fold")
     # Unless the flag was given explicitly, mirror how the model was trained,
@@ -310,11 +310,11 @@ def cmd_classify(cfg: SimpleNamespace) -> dict:
 
 
 def _labeled_input(cfg: SimpleNamespace) -> tuple[Any, dict[str, Any]]:
-    """Check --input, build the geocoder and load --input: the set-up of evaluate,
-    ablate and report. Returns the data and the options all three pass on."""
+    """Check --input and the report targets, build the geocoder and load --input: the
+    set-up of evaluate, ablate and report. Returns the data and the options all three pass on."""
     from .evaluation import load_labeled_ndjson
 
-    _require_paths(cfg, "input")
+    _require_paths(cfg, "input", outputs=("report_json", "report_csv"))
     geocoder = build_geocoder(cfg)
     data = load_labeled_ndjson(cfg.input)
     return data, {
@@ -432,12 +432,14 @@ def cmd_report(cfg: SimpleNamespace) -> dict:
 def cmd_cache_stats(cfg: SimpleNamespace) -> dict:
     """Count the entries of a persistent geocode cache file."""
     _require_paths(cfg, "cache")
+    os.stat(cfg.cache)  # a missing file is an error, not an empty cache
     return GeocodeCache(cfg.cache).stats()
 
 
 def cmd_cache_compact(cfg: SimpleNamespace) -> dict:
     """Rewrite a persistent geocode cache file sorted and deduplicated."""
     _require_paths(cfg, "cache")
+    os.stat(cfg.cache)  # a missing file is an error, not one to create
     return {"path": cfg.cache, "entries": GeocodeCache(cfg.cache).compact()}
 
 

@@ -74,6 +74,17 @@ def _command_name(argv):
     return " ".join(argv[:2]) if argv[0] == "cache" else argv[0]
 
 
+def _forbid_reading(monkeypatch):
+    """Fail the test if the command builds a geocoder or loads a model: it
+    must check every output target before it reads any input."""
+
+    def fail(*args, **kwargs):
+        pytest.fail("an input was read before every output target was checked")
+
+    monkeypatch.setattr(cli, "build_geocoder", fail)
+    monkeypatch.setattr(bayes, "load_model", fail)
+
+
 @pytest.fixture
 def labeled_file(tmp_path):
     path = tmp_path / "labeled.ndjson"
@@ -809,6 +820,7 @@ def test_report_targets_are_checked_before_the_first_write(
     if old_json:
         (tmp_path / "ok.json").write_bytes(b"old bytes\n")
     argv = command[:1] + ["--input", str(labeled_file)] + command[1:]
+    _forbid_reading(monkeypatch)
     code = main(argv + ["--report-json", "ok.json", "--report-csv", bad_csv])
     assert code == EXIT_INPUT
     assert bad_csv in capsys.readouterr().err
@@ -891,28 +903,40 @@ def test_report_under_a_file_is_not_a_directory(tmp_path, labeled_file, capsys, 
      ("out.txt", True), ("./out.txt", True), ("link.txt", True), ("hard.txt", True)],
 )
 @pytest.mark.parametrize(
-    "command",
-    [["evaluate", "--k", "2"], ["ablate", "--k", "2", "--subsets", "timezone"], ["report"]],
-    ids=lambda argv: argv[0],
+    "command, first, second",
+    [
+        pytest.param(["evaluate", "--k", "2"], "--report-json", "--report-csv", id="evaluate"),
+        pytest.param(["ablate", "--k", "2", "--subsets", "timezone"], "--report-json", "--report-csv", id="ablate"),
+        pytest.param(["report"], "--report-json", "--report-csv", id="report"),
+        pytest.param(["label"], "--output", "--cache", id="label-cache"),
+        pytest.param(["train"], "--model", "--cache", id="train-cache"),
+        pytest.param(["classify"], "--output", "--cache", id="classify-cache"),
+        pytest.param(["report"], "--report-json", "--cache", id="report-cache"),
+    ],
 )
 def test_report_json_and_csv_naming_one_file_is_an_input_error(
-    tmp_path, labeled_file, capsys, monkeypatch, command, alias, existing
+    tmp_path, labeled_file, model_file, capsys, monkeypatch, command, first, second, alias, existing
 ):
-    # The CSV would replace the JSON: both are refused before either is written.
+    # The CSV would replace the JSON, or the output the cache that the run
+    # appends to: both are refused before any input is read or anything written.
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
     (work / "link.txt").symlink_to("out.txt")
+    old = b"paris\tFR\tgazetteer\t2024-01-01\n"
     if existing:
-        (work / "out.txt").write_bytes(b"old bytes\n")
+        (work / "out.txt").write_bytes(old)
         os.link(work / "out.txt", work / "hard.txt")
     before = sorted(os.listdir(work))
+    _forbid_reading(monkeypatch)
     argv = command[:1] + ["--input", str(labeled_file)] + command[1:]
-    assert main(argv + ["--report-json", "out.txt", "--report-csv", alias]) == EXIT_INPUT
-    assert capsys.readouterr() == ("", f"error: --report-json and --report-csv name the same file: {alias!r}\n")
+    if command[0] == "classify":
+        argv += ["--model", str(model_file)]
+    assert main(argv + [first, "out.txt", second, alias]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {first} and {second} name the same file: {alias!r}\n")
     assert sorted(os.listdir(work)) == before
     if existing:
-        assert (work / "out.txt").read_bytes() == b"old bytes\n"
+        assert (work / "out.txt").read_bytes() == old
 
 
 @pytest.mark.parametrize(
@@ -921,10 +945,12 @@ def test_report_json_and_csv_naming_one_file_is_an_input_error(
     ids=lambda argv: argv[0],
 )
 def test_report_json_and_csv_may_share_a_target_written_in_place(tmp_path, labeled_file, capsys, command):
-    # /dev/null is not a regular file, so open_atomic writes it in place.
+    # /dev/null is not a regular file, so open_atomic writes it in place; the
+    # cache may name it too.
     argv = command[:1] + ["--input", str(labeled_file)] + command[1:]
-    assert main(argv + ["--report-json", os.devnull, "--report-csv", os.devnull]) == EXIT_OK
-    assert read_summary(capsys)["report_csv"] == os.devnull
+    assert main(argv + ["--report-json", os.devnull, "--report-csv", os.devnull, "--cache", os.devnull]) == EXIT_OK
+    summary = read_summary(capsys)
+    assert summary["report_csv"] == summary["config"]["cache"] == os.devnull
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
@@ -998,6 +1024,14 @@ class TestCache:
 
     def test_cache_requires_path(self):
         assert main(["cache", "stats"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("action", ["stats", "compact"])
+    def test_cache_action_on_a_missing_file_is_an_input_error(self, tmp_path, capsys, monkeypatch, action):
+        # Neither reports an empty cache nor creates one for a mistyped name.
+        monkeypatch.chdir(tmp_path)
+        assert main(["cache", action, "--cache", "typo.tsv"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'typo.tsv'\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "last_line, expected",
@@ -1089,6 +1123,8 @@ class TestConfigResolution:
             "report": ["--input", str(labeled_file)],
         }
         capsys.readouterr()
+        # The cache actions refuse a missing file; every command reads an empty one.
+        (tmp_path / "cache.tsv").touch()
         argv = [*command.split(), *flags.get(command, []), "--cache", str(tmp_path / "cache.tsv")]
         assert main(argv) == EXIT_OK
         summary = read_summary(capsys)
@@ -1105,6 +1141,7 @@ class TestConfigResolution:
     def test_config_file_booleans(self, tmp_path, capsys, key, spelling, value):
         config = tmp_path / "run.cfg"
         config.write_text(f"{key} = {spelling}\n", encoding="utf-8")
+        (tmp_path / "cache.tsv").touch()
         argv = ["cache", "stats", "--cache", str(tmp_path / "cache.tsv"), "--config", str(config)]
         assert main(argv) == EXIT_OK
         assert read_summary(capsys)["config"][key] is value
@@ -1777,6 +1814,7 @@ def test_target_inside_a_symlink_loop_is_an_input_error(tmp_path, labeled_file, 
     (tmp_path / "a").symlink_to("b")
     (tmp_path / "b").symlink_to("a")
     before = sorted(os.listdir(tmp_path))
+    _forbid_reading(monkeypatch)
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'a/x.json'\n"
     assert sorted(os.listdir(tmp_path)) == before

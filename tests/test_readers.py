@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from tweetcountry.bayes import (
     NaiveBayesModel,
-    save_model,
     load_model,
     load_model_config,
     log_posterior,
@@ -39,8 +38,9 @@ from tweetcountry.cli import (
     build_parser,
     main,
     parse_config_file,
+    resolve_config,
 )
-from tweetcountry.errors import ConflictingEntry, CorruptModel, MalformedInput
+from tweetcountry.errors import ConflictingEntry, CorruptModel, GeocodingError, MalformedInput, TweetCountryError
 from tweetcountry.evaluation import _parse_region, load_labeled_ndjson, load_region
 from tweetcountry import geocode
 from tweetcountry.features import FeatureKind, extract_features
@@ -593,15 +593,68 @@ def test_parse_config_file_raises_only_value_error(files_dir, data):
 
 # Each command with the paths it needs, which a run may pass or leave to the config file.
 _COMMANDS = (
-    (["label"], ["--input", "raw.ndjson", "--output", "sub/new.ndjson"]),
-    (["train"], ["--input", "labeled.ndjson", "--model", "sub/new.ndjson"]),
-    (["classify"], ["--input", "raw.ndjson", "--model", "model.json", "--output", "sub/new.ndjson"]),
-    (["evaluate"], ["--input", "labeled.ndjson"]),
-    (["ablate"], ["--input", "labeled.ndjson"]),
-    (["report"], ["--input", "labeled.ndjson"]),
+    (["label"], ["--input", "raw.ndjson", "--output", "sub/new.ndjson", "--cache", "cache.tsv"]),
+    (["train"], ["--input", "labeled.ndjson", "--model", "sub/new.ndjson", "--cache", "cache.tsv"]),
+    (["classify"], ["--input", "raw.ndjson", "--model", "model.json", "--output", "sub/new.ndjson",
+                    "--cache", "cache.tsv"]),
+    (["evaluate"], ["--input", "labeled.ndjson", "--cache", "cache.tsv"]),
+    (["ablate"], ["--input", "labeled.ndjson", "--cache", "cache.tsv"]),
+    (["report"], ["--input", "labeled.ndjson", "--cache", "cache.tsv"]),
     (["cache", "stats"], ["--cache", "cache.tsv"]),
     (["cache", "compact"], ["--cache", "cache.tsv"]),
 )
+
+
+def _fixture_files() -> dict[str, bytes]:
+    """The valid files a run reads, by name: a model, raw and labeled NDJSON and a cache."""
+    corpus = make_separable_corpus(per_country=3)
+    labeled = [{**to_flat_dict(tweet), "country": country} for tweet, country in corpus.examples]
+    raw = [to_flat_dict(tweet) for tweet, _ in corpus.examples] + [{"coordinates": [4.49, 52.16]}]
+    model = model_to_dict(train([(extract_features(t), c) for t, c in corpus.examples]), {"case_fold": True})
+    return {
+        "model.json": (json.dumps(model, sort_keys=True, indent=2) + "\n").encode("utf-8"),
+        "raw.ndjson": "".join(json.dumps(r) + "\n" for r in raw).encode("utf-8"),
+        "labeled.ndjson": "".join(json.dumps(r) + "\n" for r in labeled).encode("utf-8"),
+        "cache.tsv": b"paris\tFR\tgazetteer\t2024-01-01T00:00:00+00:00\nreverse:0,0\t-\tpoints\tt\n",
+    }
+
+
+_FIXTURES = _fixture_files()
+# What a run of the command's own paths may exit with when one file is damaged:
+# a model file is corrupt (3), a labeled line malformed (2); a malformed raw line
+# or cache line is skipped.
+_DAMAGE_EXITS = {"model.json": (EXIT_OK, EXIT_MODEL), "raw.ndjson": (EXIT_OK,),
+                 "labeled.ndjson": (EXIT_OK, EXIT_INPUT), "cache.tsv": (EXIT_OK,)}
+_PREFIXES = {error.exit_code: error.prefix + ": " for error in (TweetCountryError, CorruptModel, GeocodingError)}
+# Inserted by a damaging edit: NUL, BOM, U+2028, a lone surrogate's bytes, a
+# carriage return, tab, backslash, three numbers JSON has no float for, and
+# brackets, the last nested too deep to decode.
+_INSERTS = (
+    b"\x00", "\ufeff".encode(), "\u2028".encode(), b"\xed\xa0\x80", b"\r", b"\t", b"\\", b"NaN",
+    b"1e999", b"9" * 30, b"[", b"]", b"{}", b"[" * 100_000,
+)
+# One edit (position, bytes cut there, bytes put there): a deletion, an
+# overwritten byte or an insertion. A position wraps around the file's length.
+_edits = st.lists(
+    st.one_of(
+        st.tuples(st.integers(0), st.integers(1, 8), st.just(b"")),
+        st.tuples(st.integers(0), st.just(1), st.binary(min_size=1, max_size=1)),
+        st.tuples(st.integers(0), st.just(0), st.sampled_from(_INSERTS)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _pairs(paths):
+    return [paths[i : i + 2] for i in range(0, len(paths), 2)]
+
+
+def _damaged(data: bytes, edits) -> bytes:
+    for at, cut, put in edits:
+        at %= len(data) + 1
+        data = data[:at] + put + data[at + cut :]
+    return data
 
 
 def _options(words):
@@ -626,22 +679,24 @@ def _flag(option):
 
 @st.composite
 def cli_runs(draw):
-    """(subcommand words, flags): the command's own flags with fuzzed values."""
+    """(subcommand words, flags, whether to pass the config file, damage).
+    Half the runs pass just the command's own paths; the rest fuzz its flags
+    and may pass the config file. Damage is None, or one file the command
+    reads with the edits that damage it."""
     words, paths = draw(st.sampled_from(_COMMANDS))
-    flags = [paths[i : i + 2] for i in range(0, len(paths), 2)] if draw(st.booleans()) else []
+    readable = [name for name in paths[1::2] if name in _FIXTURES]
+    damage = draw(st.none() | st.tuples(st.sampled_from(readable), _edits))
+    pairs = _pairs(paths)
+    if draw(st.booleans()):
+        return words, pairs, False, damage
+    flags = pairs if draw(st.booleans()) else []
     flags += draw(st.lists(st.sampled_from(_options(words)).flatmap(_flag), max_size=3))
-    return words, flags
+    return words, flags, draw(st.booleans()), damage
 
 
-def _write_run_files(run_dir, config, gazetteer, points, region):
-    corpus = make_separable_corpus(per_country=3)
-    labeled = [{**to_flat_dict(tweet), "country": country} for tweet, country in corpus.examples]
-    (run_dir / "labeled.ndjson").write_text("".join(json.dumps(r) + "\n" for r in labeled), "utf-8")
-    raw = [to_flat_dict(tweet) for tweet, _ in corpus.examples] + [{"coordinates": [4.49, 52.16]}]
-    (run_dir / "raw.ndjson").write_text("".join(json.dumps(r) + "\n" for r in raw), "utf-8")
-    save_model(train([(extract_features(t), c) for t, c in corpus.examples]), run_dir / "model.json",
-               config={"case_fold": True})
-    (run_dir / "cache.tsv").write_bytes(b"paris\tFR\tgazetteer\tt\nbad line\n")
+def _write_run_files(run_dir, damage, config, gazetteer, points, region):
+    for name, data in _FIXTURES.items():
+        (run_dir / name).write_bytes(_damaged(data, damage[1]) if damage and damage[0] == name else data)
     (run_dir / "config.txt").write_bytes(config)
     (run_dir / "gazetteer.tsv").write_bytes(gazetteer)
     (run_dir / "points.tsv").write_bytes(points)
@@ -651,32 +706,72 @@ def _write_run_files(run_dir, config, gazetteer, points, region):
         (run_dir / leftover).unlink(missing_ok=True)
 
 
-@settings(tmp_settings, max_examples=60, deadline=None)
+def _files(run_dir) -> dict[str, bytes]:
+    return {str(path.relative_to(run_dir)): path.read_bytes() for path in run_dir.rglob("*") if path.is_file()}
+
+
+def _resolved_cache(argv) -> str | None:
+    """The --cache a run resolves to, or None if its config does not resolve."""
+    try:
+        return resolve_config(build_parser(argv).parse_args(argv)).cache
+    except (ValueError, OSError):
+        return None
+
+
+_PATHS = {" ".join(words): paths for words, paths in _COMMANDS}
+
+
+def _plain_run(words, damaged, *edits):
+    """The run of the command's own paths with one file damaged by edits."""
+    return words, _pairs(_PATHS[" ".join(words)]), False, (damaged, list(edits))
+
+
+# Each catch that turns a decoding failure into a documented error: nesting
+# too deep for the JSON decoder, an unhashable kind name ({} in place of the
+# model's first enabled kind, "location") and bytes that are not UTF-8.
+@settings(tmp_settings, max_examples=200, deadline=None)
+@example(_plain_run(["train"], "labeled.ndjson", (0, 0, b"[" * 100_000)), b"", b"", b"", b"")
+@example(
+    _plain_run(["classify"], "model.json", (_FIXTURES["model.json"].index(b'"location"'), 10, b"{}")),
+    b"", b"", b"", b"",
+)
+@example(_plain_run(["classify"], "model.json", (0, 0, b"\xed\xa0\x80")), b"", b"", b"", b"")
 @given(
     cli_runs(),
-    st.booleans(),
     config_files().flatmap(_file_bytes),
     gazetteer_lines.flatmap(_file_bytes),
     reverse_point_lines.flatmap(_file_bytes),
     region_lines.flatmap(_file_bytes),
 )
 def test_cli_main_returns_a_documented_exit_code(
-    files_dir, capsys, monkeypatch, run, use_config, config, gazetteer, points, region
+    files_dir, capsys, monkeypatch, run, config, gazetteer, points, region
 ):
     run_dir = files_dir / "cli"
     run_dir.mkdir(exist_ok=True)
     # Every path value is relative, so nothing a fuzzed run writes lands outside run_dir.
     monkeypatch.chdir(run_dir)
-    _write_run_files(run_dir, config, gazetteer, points, region)
-    words, flags = run
+    words, flags, use_config, damage = run
+    _write_run_files(run_dir, damage, config, gazetteer, points, region)
     argv = words + [part for flag in flags for part in flag]
+    plain = not use_config and argv[len(words) :] == _PATHS[" ".join(words)]
     if use_config:
         argv += ["--config", "config.txt"]
+    before = _files(run_dir)
     try:
         code = main(argv)
     except SystemExit as exc:
         # argparse rejects a flag value of the wrong type.
         assert exc.code == EXIT_INPUT
-    else:
-        assert code in (EXIT_OK, EXIT_INPUT, EXIT_MODEL, EXIT_GEOCODER)
-    capsys.readouterr()
+        return
+    finally:
+        err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_MODEL, EXIT_GEOCODER)
+    if plain:
+        assert code in (_DAMAGE_EXITS[damage[0]] if damage else (EXIT_OK,)), err
+    if code != EXIT_OK:
+        assert err.count("\n") == 1 and err.startswith(_PREFIXES[code]), err
+        # Only the cache may change: every other file, an output target or a
+        # temporary file beside one, keeps its bytes or stays absent.
+        after = _files(run_dir)
+        changed = {name for name in before.keys() | after.keys() if before.get(name) != after.get(name)}
+        assert changed <= {_resolved_cache(argv)}, changed
