@@ -186,35 +186,44 @@ def build_geocoder(cfg: SimpleNamespace) -> Geocoder:
     )
 
 
+# The file options a command reads, when its row in COMMANDS takes them and it does not write them.
+_READ = ("input", "eval_input", "model", "gazetteer", "reverse_points", "region_file")
+
+
 def _require_paths(cfg: SimpleNamespace, *names: str, outputs: tuple[str, ...] = ()) -> None:
-    """Check, before any input is read, that each of names is given, that each
-    output given sits in a directory and is not one (else OSError naming it), and
-    that no two outputs or --cache name one file that open_atomic would
-    replace. An existing file is known by inode, so a hard link counts."""
+    """Check, before any input is read, that each of names is given; that each
+    file written (outputs and --cache) sits in a directory and is not one (else
+    OSError naming it); and that no file written names one file with any other
+    file the command names, unless open_atomic writes it in place. An existing
+    file is known by inode, so a hard link counts."""
     for name in names:
         if cfg.echo[name] in (None, ""):
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
+    written = (*outputs, "cache")
+    read = tuple(name for name in _READ if name in cfg.keys and name not in written)
     seen: dict[object, str] = {}
-    for name in (*outputs, "cache"):
-        path, flag = cfg.echo[name], "--" + name.replace("_", "-")
+    for name in (*written, *read):
+        path, flag, writes = cfg.echo[name], "--" + name.replace("_", "-"), name in written
         if not path:
             continue
         # realpath: Path.resolve raises RuntimeError on a symlink loop before Python 3.13.
         real = os.path.realpath(path)
-        try:
-            if name != "cache" and os.path.isdir(real):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            if name != "cache" and not stat.S_ISDIR(os.stat(os.path.dirname(real)).st_mode):
-                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
-        if writes_in_place(path):
-            continue
+        if writes:
+            try:
+                if os.path.isdir(real):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                if not stat.S_ISDIR(os.stat(os.path.dirname(real)).st_mode):
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            if writes_in_place(path):
+                continue
         info = os.stat(real) if os.path.exists(real) else None
         key = (info.st_ino, info.st_dev) if info else real
         if key in seen:
             raise ValueError(f"{seen[key]} and {flag} name the same file: {path!r}")
-        seen[key] = flag
+        if writes:
+            seen[key] = flag
 
 
 def _write_reports(cfg: SimpleNamespace, report, write_json, write_csv) -> dict:
@@ -396,7 +405,6 @@ def cmd_report(cfg: SimpleNamespace) -> dict:
     """Per-country accuracy table with summary and region rows."""
     from .evaluation import (
         REPORT_KIND_SETS,
-        default_region,
         load_labeled_ndjson,
         load_region,
         per_country_report,
@@ -407,13 +415,12 @@ def cmd_report(cfg: SimpleNamespace) -> dict:
     train_data, shared = _labeled_input(cfg)
     eval_data = load_labeled_ndjson(cfg.eval_input) if cfg.eval_input else None
     kind_sets = _parse_kind_sets(cfg.kind_sets) if cfg.kind_sets else list(REPORT_KIND_SETS)
-    region = load_region(cfg.region_file) if cfg.region_file else default_region()
     report = per_country_report(
         train_data,
         eval_data,
         kind_sets=kind_sets,
         min_count=cfg.min_count,
-        region=region,
+        region=load_region(cfg.region_file) if cfg.region_file else None,
         region_name=cfg.region_name,
         **shared,
     )
@@ -556,6 +563,7 @@ def main(argv: list[str] | None = None) -> int:
         with ExitStack() as exit_stack:
             cfg = resolve_config(args)
             cfg.case_fold_given = getattr(args, "case_fold", None)
+            cfg.keys = COMMANDS[args.command][2]
             cfg.exit_stack = exit_stack
             summary = {
                 **args.handler(cfg),

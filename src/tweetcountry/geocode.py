@@ -209,7 +209,7 @@ class GeocodeCache:
         self._hold = False
         # True when the file may end inside a line: the next append ends it first.
         self._torn = False
-        if self._path is not None and self._path.exists():
+        if self._path is not None:
             self._load()
 
     @property
@@ -222,13 +222,17 @@ class GeocodeCache:
     def _load(self) -> None:
         """Read the file's entries. Lines end at a line feed, and a carriage
         return before it is dropped; a line that is not UTF-8 text of four
-        fields is skipped with a warning.
+        fields is skipped with a warning. Only a missing file is an empty
+        cache: any other error reading it, such as a symlink loop, is raised.
 
         The file is read once and decoded whole; only a file that is not
         UTF-8 throughout is decoded line by line, so each warning keeps its
         line number."""
         assert self._path is not None
-        data = self._path.read_bytes()
+        try:
+            data = self._path.read_bytes()
+        except FileNotFoundError:
+            return
         self._torn = bool(data) and not data.endswith(b"\n")
         try:
             lines: list[str | None] = data.decode("utf-8").split("\n")

@@ -76,7 +76,7 @@ def _command_name(argv):
 
 def _forbid_reading(monkeypatch):
     """Fail the test if the command builds a geocoder or loads a model: it
-    must check every output target before it reads any input."""
+    must check every file it names before it reads any input."""
 
     def fail(*args, **kwargs):
         pytest.fail("an input was read before every output target was checked")
@@ -912,13 +912,20 @@ def test_report_under_a_file_is_not_a_directory(tmp_path, labeled_file, capsys, 
         pytest.param(["train"], "--model", "--cache", id="train-cache"),
         pytest.param(["classify"], "--output", "--cache", id="classify-cache"),
         pytest.param(["report"], "--report-json", "--cache", id="report-cache"),
+        pytest.param(["classify"], "--output", "--model", id="classify-model"),
+        pytest.param(["evaluate", "--k", "2"], "--report-json", "--input", id="evaluate-input"),
+        pytest.param(["train"], "--model", "--input", id="train-input"),
+        pytest.param(["report"], "--report-csv", "--eval-input", id="report-eval-input"),
+        pytest.param(["label"], "--output", "--gazetteer", id="label-gazetteer"),
+        pytest.param(["label", "--output", "o.ndjson"], "--cache", "--input", id="label-cache-input"),
     ],
 )
 def test_report_json_and_csv_naming_one_file_is_an_input_error(
     tmp_path, labeled_file, model_file, capsys, monkeypatch, command, first, second, alias, existing
 ):
-    # The CSV would replace the JSON, or the output the cache that the run
-    # appends to: both are refused before any input is read or anything written.
+    # A file written (a report, an output or the cache) would replace another
+    # file the run names, one it writes or reads: refused before any input is
+    # read or anything written. A flag given twice takes its last value.
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
@@ -951,6 +958,23 @@ def test_report_json_and_csv_may_share_a_target_written_in_place(tmp_path, label
     assert main(argv + ["--report-json", os.devnull, "--report-csv", os.devnull, "--cache", os.devnull]) == EXIT_OK
     summary = read_summary(capsys)
     assert summary["report_csv"] == summary["config"]["cache"] == os.devnull
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["report", "--input", "labeled.ndjson", "--eval-input", "labeled.ndjson"], ""),
+        # eval_input is report's key: label neither reads nor writes it.
+        (["label", "--input", "raw.ndjson", "--output", "out.ndjson"], "eval_input = out.ndjson\n"),
+    ],
+    ids=["report", "label"],
+)
+def test_options_a_command_only_reads_may_name_one_file(tmp_path, labeled_file, capsys, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    write_raw_corpus(tmp_path / "raw.ndjson")
+    (tmp_path / "shared.conf").write_text(config, encoding="utf-8")
+    assert main(argv + ["--config", "shared.conf"]) == EXIT_OK
+    assert read_summary(capsys)["command"] == argv[0]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
@@ -1032,6 +1056,30 @@ class TestCache:
         assert main(["cache", action, "--cache", "typo.tsv"]) == EXIT_INPUT
         assert capsys.readouterr() == ("", f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'typo.tsv'\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["label", "train", "classify", "evaluate", "ablate", "report"])
+    def test_a_cache_that_is_a_symlink_loop_is_an_input_error(
+        self, tmp_path, labeled_file, model_file, capsys, monkeypatch, command
+    ):
+        # Not an empty cache that the first put, if any, finds bad: refused before --input is read.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "loop.tsv").symlink_to("loop.tsv")
+        flags = {
+            "label": ["--input", "raw.ndjson", "--output", "out.ndjson"],
+            "train": ["--input", "labeled.ndjson", "--model", "m.json"],
+            "classify": ["--input", "raw.ndjson", "--model", "model.json", "--output", "out.ndjson"],
+        }
+        before = sorted(os.listdir(tmp_path))
+
+        def fail(*args, **kwargs):
+            pytest.fail("--input was read before the cache was loaded")
+
+        monkeypatch.setattr(cli, "read_ndjson", fail)
+        monkeypatch.setattr(evaluation, "load_labeled_ndjson", fail)
+        argv = [command, *flags.get(command, ["--input", "labeled.ndjson"]), "--cache", "loop.tsv"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'loop.tsv'\n")
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize(
         "last_line, expected",
@@ -1798,6 +1846,10 @@ def test_handler_calls_what_the_module_holds_when_it_runs(
     assert read_summary(capsys)["command"] == argv[0]
 
 
+def _cache_in(argv):
+    return pytest.param(argv + ["--cache", "a/x.json"], id=_command_name(argv) + "-cache")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1805,19 +1857,29 @@ def test_handler_calls_what_the_module_holds_when_it_runs(
         ["train", "--input", "labeled.ndjson", "--model", "a/x.json"],
         ["classify", "--input", "raw.ndjson", "--model", "model.json", "--output", "a/x.json"],
         ["ablate", "--input", "labeled.ndjson", "--k", "2", "--subsets", "timezone", "--report-json", "a/x.json"],
+        _cache_in(["label", "--input", "raw.ndjson", "--output", "o.ndjson"]),
+        _cache_in(["train", "--input", "labeled.ndjson", "--model", "m.json"]),
+        _cache_in(["classify", "--input", "raw.ndjson", "--model", "model.json", "--output", "o.ndjson"]),
+        _cache_in(["evaluate", "--input", "labeled.ndjson", "--k", "2"]),
+        _cache_in(["ablate", "--input", "labeled.ndjson", "--k", "2", "--subsets", "timezone"]),
+        _cache_in(["report", "--input", "labeled.ndjson"]),
+        _cache_in(["cache", "stats"]),
+        _cache_in(["cache", "compact"]),
     ],
     ids=_command_name,
 )
 def test_target_inside_a_symlink_loop_is_an_input_error(tmp_path, labeled_file, model_file, capsys, monkeypatch, argv):
+    # Each target, the cache too, is tried in a directory that is a symlink loop and in a missing one.
     monkeypatch.chdir(tmp_path)
     write_raw_corpus(tmp_path / "raw.ndjson")
     (tmp_path / "a").symlink_to("b")
     (tmp_path / "b").symlink_to("a")
     before = sorted(os.listdir(tmp_path))
     _forbid_reading(monkeypatch)
-    assert main(argv) == EXIT_INPUT
-    assert capsys.readouterr().err == f"error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'a/x.json'\n"
-    assert sorted(os.listdir(tmp_path)) == before
+    for target, code in (("a/x.json", errno.ELOOP), ("nodir/c.tsv", errno.ENOENT)):
+        assert main([target if part == "a/x.json" else part for part in argv]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: {target!r}\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_module_entry_point():

@@ -296,6 +296,17 @@ class TestCache:
         line = path.read_text(encoding="utf-8").splitlines()[1]
         assert line.split("\t")[1] == NEGATIVE_MARK
 
+    def test_only_a_missing_file_is_an_empty_cache(self, tmp_path):
+        assert len(GeocodeCache(tmp_path / "nodir" / "cache.tsv")) == 0
+        loop = tmp_path / "loop.tsv"
+        loop.symlink_to("loop.tsv")
+        (tmp_path / "a_file").write_bytes(b"")
+        with pytest.raises(OSError) as looped:
+            GeocodeCache(loop)
+        assert looped.value.errno == errno.ELOOP
+        with pytest.raises(NotADirectoryError):
+            GeocodeCache(tmp_path / "a_file" / "cache.tsv")
+
     def test_last_entry_wins(self, tmp_path):
         path = tmp_path / "cache.tsv"
         cache = GeocodeCache(path)
