@@ -209,12 +209,9 @@ def train(
     """Count up a model from (feature vector, country label) pairs.
 
     Entries of disabled kinds are ignored (logged once). Labels must be
-    two-letter uppercase codes; an empty example list raises EmptyTrainingSet,
-    and no enabled kind raises ValueError.
+    two-letter uppercase codes. The pairs are walked once; an empty iterable
+    raises EmptyTrainingSet, and no enabled kind raises ValueError.
     """
-    pairs = list(examples)
-    if not pairs:
-        raise EmptyTrainingSet("no training examples")
     if not 0 <= alpha <= sys.float_info.max:
         raise ValueError(f"alpha must be a finite non-negative number, got {alpha!r}")
     kinds = ordered_kinds(enabled_kinds)
@@ -228,7 +225,7 @@ def train(
     vocabulary: dict[FeatureKind, set[str]] = {kind: set() for kind in kinds}
     ignored = 0
 
-    for vector, label in pairs:
+    for vector, label in examples:
         # Only a label not counted yet needs the check; an unhashable one raises TypeError.
         try:
             class_count[label] += 1
@@ -248,6 +245,8 @@ def train(
             counts[value] = counts.get(value, 0) + 1
             totals[kind] = totals.get(kind, 0) + 1
             vocabulary[kind].add(value)
+    if not class_count:
+        raise EmptyTrainingSet("no training examples")
 
     # Without logging loaded, no handler exists that could show the record.
     if ignored and "logging" in sys.modules:

@@ -157,6 +157,7 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     context = SimpleNamespace(**resolved)
     context.echo = dict(resolved)
     context.digest = config_digest(context.echo)
+    context.config = getattr(args, "config", None)  # a file read, kept out of the echo
     return context
 
 
@@ -187,23 +188,24 @@ def build_geocoder(cfg: SimpleNamespace) -> Geocoder:
 
 
 # The file options a command reads, when its row in COMMANDS takes them and it does not write them.
-_READ = ("input", "eval_input", "model", "gazetteer", "reverse_points", "region_file")
+_READ = ("input", "eval_input", "model", "gazetteer", "reverse_points", "region_file", "config")
 
 
 def _require_paths(cfg: SimpleNamespace, *names: str, outputs: tuple[str, ...] = ()) -> None:
     """Check, before any input is read, that each of names is given; that each
-    file written (outputs and --cache) sits in a directory and is not one (else
-    OSError naming it); and that no file written names one file with any other
-    file the command names, unless open_atomic writes it in place. An existing
-    file is known by inode, so a hard link counts."""
+    file written (outputs and --cache) sits in a directory and is neither one
+    nor a symlink loop (else OSError naming it); and that no file written names
+    one file with any other file the command names, --config included, unless
+    open_atomic writes it in place. An existing file is known by inode, so a
+    hard link counts."""
     for name in names:
-        if cfg.echo[name] in (None, ""):
+        if getattr(cfg, name) in (None, ""):
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
     written = (*outputs, "cache")
     read = tuple(name for name in _READ if name in cfg.keys and name not in written)
     seen: dict[object, str] = {}
     for name in (*written, *read):
-        path, flag, writes = cfg.echo[name], "--" + name.replace("_", "-"), name in written
+        path, flag, writes = getattr(cfg, name), "--" + name.replace("_", "-"), name in written
         if not path:
             continue
         # realpath: Path.resolve raises RuntimeError on a symlink loop before Python 3.13.
@@ -214,6 +216,8 @@ def _require_paths(cfg: SimpleNamespace, *names: str, outputs: tuple[str, ...] =
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
                 if not stat.S_ISDIR(os.stat(os.path.dirname(real)).st_mode):
                     raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+                if os.path.islink(real):  # realpath leaves a link unresolved only in a loop
+                    os.stat(real)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
             if writes_in_place(path):
@@ -276,14 +280,17 @@ def cmd_label(cfg: SimpleNamespace) -> dict:
 def cmd_train(cfg: SimpleNamespace) -> dict:
     """Fit a model on a labeled NDJSON file and write it as JSON."""
     from .bayes import save_model, train
-    from .evaluation import load_labeled_ndjson
+    # The reader stays in evaluation: a tracer patches that module, so train must load it.
+    from .evaluation import labeled_examples
 
     _require_paths(cfg, "input", "model", outputs=("model",))
     geocoder = build_geocoder(cfg)
-    data = load_labeled_ndjson(cfg.input)
     kinds = parse_kinds_label(cfg.kinds)
-    vectors = data.vectors(geocoder, kinds, cfg.case_fold)
-    model = train(zip(vectors, data.labels()), alpha=cfg.alpha, enabled_kinds=kinds)
+    examples = (
+        (extract_features(tweet, geocoder, kinds, case_fold=cfg.case_fold), label)
+        for tweet, label in labeled_examples(cfg.input)
+    )
+    model = train(examples, alpha=cfg.alpha, enabled_kinds=kinds)
     save_model(model, cfg.model, config=cfg.echo)
     return {
         "model": cfg.model,

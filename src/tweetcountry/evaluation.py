@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .atomic import write_json_atomic, write_text_atomic
 from .bayes import NaiveBayesModel, classify, train
@@ -133,19 +133,22 @@ def _labeled_example(line: str) -> tuple[TweetRecord, str]:
     return record_from_dict(obj), label
 
 
-def load_labeled_ndjson(path: str | Path) -> LabeledDataset:
-    """Read a labeled NDJSON file: flattened record fields plus "country".
+def labeled_examples(path: str | Path) -> Iterator[tuple[TweetRecord, str]]:
+    """Yield (record, label) for each line of a labeled NDJSON file: flattened
+    record fields plus "country".
 
     Lines are read by ``read_ndjson``. The first bad line, bytes that are
     not UTF-8 included, raises MalformedInput, prefixed with path:lineno.
     """
-    path = Path(path)
-    examples: list[tuple[TweetRecord, str]] = []
     for lineno, example, error in read_ndjson(path, _labeled_example):
         if error is not None:
-            raise MalformedInput(f"{path}:{lineno}: {error}") from None
-        examples.append(example)
-    return LabeledDataset(examples, source=str(path))
+            raise MalformedInput(f"{Path(path)}:{lineno}: {error}") from None
+        yield example
+
+
+def load_labeled_ndjson(path: str | Path) -> LabeledDataset:
+    """Read a whole labeled NDJSON file (``labeled_examples``)."""
+    return LabeledDataset(list(labeled_examples(path)), source=str(Path(path)))
 
 
 def accuracy(predictions: Iterable[tuple[str, str]]) -> Fraction:

@@ -57,10 +57,18 @@ class TestTrain:
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             train([])
+        with pytest.raises(EmptyTrainingSet):
+            train(iter(()))
+
+    def test_walks_a_one_shot_iterator_once(self, tiny_examples, tiny_model):
+        assert train(iter(tiny_examples)) == tiny_model
 
     def test_negative_alpha(self, tiny_examples):
         with pytest.raises(ValueError):
             train(tiny_examples, alpha=-0.5)
+        # checked before any pair is read, so also with none
+        with pytest.raises(ValueError, match="alpha must be"):
+            train([], alpha=-0.5)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_alpha_that_is_not_finite(self, tiny_examples, alpha):

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -217,6 +218,35 @@ class TestTrain:
             ["train", "--input", str(tmp_path / "absent"), "--model", str(tmp_path / "m")]
         )
         assert code == EXIT_INPUT
+
+    def test_memory_follows_the_model_not_the_input(self, tmp_path, labeled_file, capsys, monkeypatch):
+        # train counts each line as it reads it: repeated lines keep the model one
+        # size, so the peak of what it allocates must not grow with the line count.
+        monkeypatch.chdir(tmp_path)
+        lines = labeled_file.read_bytes()
+
+        def peak(repeats):
+            Path("repeated.ndjson").write_bytes(lines * repeats)
+            tracemalloc.start()
+            try:
+                assert main(["train", "--input", "repeated.ndjson", "--model", "m.json"]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(1)  # what the first run loads once (the bundled gazetteer) stays out of the peaks
+        small, large = peak(10), peak(80)
+        assert large < 1.5 * small, (small, large)
+
+    def test_a_late_malformed_line_is_named_and_writes_no_model(self, tmp_path, labeled_file, capsys, monkeypatch):
+        # The lines before it are counted first; the path is named as Path prints it.
+        monkeypatch.chdir(tmp_path)
+        with labeled_file.open("a", encoding="utf-8") as handle:
+            handle.write('{"id": "x", "country": "nl"}\n')
+        assert main(["train", "--input", "./labeled.ndjson", "--model", "m.json"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: labeled.ndjson:101: missing or invalid country label\n")
+        assert not (tmp_path / "m.json").exists()
 
     def test_abbreviated_flag_is_rejected(self, tmp_path, labeled_file, capsys):
         # train has no --k; as an abbreviation it would select --kinds.
@@ -946,6 +976,38 @@ def test_report_json_and_csv_naming_one_file_is_an_input_error(
         assert (work / "out.txt").read_bytes() == old
 
 
+@pytest.mark.parametrize("alias", ["run.conf", "./run.conf", "link.conf", "hard.conf"])
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["train", "--input", "labeled.ndjson"], "--model"),
+        (["train", "--input", "labeled.ndjson", "--model", "m.json"], "--cache"),
+        (["label", "--input", "labeled.ndjson"], "--output"),
+        (["classify", "--input", "labeled.ndjson", "--model", "model.json"], "--output"),
+        (["evaluate", "--input", "labeled.ndjson", "--k", "2"], "--report-json"),
+        (["report", "--input", "labeled.ndjson"], "--report-csv"),
+        (["cache", "compact"], "--cache"),
+    ],
+    ids=lambda value: _command_name(value) if isinstance(value, list) else value.lstrip("-"),
+)
+def test_a_file_written_naming_the_config_file_is_an_input_error(
+    tmp_path, labeled_file, model_file, capsys, monkeypatch, argv, written, alias
+):
+    # --config is a file the run reads, so like --input it may not be replaced. It is
+    # parsed before any check, so unlike the pairs above it always exists.
+    monkeypatch.chdir(tmp_path)
+    config = b"alpha = 1\n"
+    (tmp_path / "run.conf").write_bytes(config)
+    (tmp_path / "link.conf").symlink_to("run.conf")
+    os.link(tmp_path / "run.conf", tmp_path / "hard.conf")
+    before = sorted(os.listdir(tmp_path))
+    _forbid_reading(monkeypatch)
+    assert main(argv + [written, "run.conf", "--config", alias]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {written} and --config name the same file: {alias!r}\n")
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (tmp_path / "run.conf").read_bytes() == config
+
+
 @pytest.mark.parametrize(
     "command",
     [["evaluate", "--k", "2"], ["ablate", "--k", "2", "--subsets", "timezone"], ["report"]],
@@ -1061,13 +1123,15 @@ class TestCache:
     def test_a_cache_that_is_a_symlink_loop_is_an_input_error(
         self, tmp_path, labeled_file, model_file, capsys, monkeypatch, command
     ):
-        # Not an empty cache that the first put, if any, finds bad: refused before --input is read.
+        # Not an empty cache that the first put, if any, finds bad: refused before --input
+        # is read, and before classify's model, here a corrupt one, is loaded.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "loop.tsv").symlink_to("loop.tsv")
+        (tmp_path / "bad.json").write_text("{", encoding="utf-8")
         flags = {
             "label": ["--input", "raw.ndjson", "--output", "out.ndjson"],
             "train": ["--input", "labeled.ndjson", "--model", "m.json"],
-            "classify": ["--input", "raw.ndjson", "--model", "model.json", "--output", "out.ndjson"],
+            "classify": ["--input", "raw.ndjson", "--model", "bad.json", "--output", "out.ndjson"],
         }
         before = sorted(os.listdir(tmp_path))
 
@@ -1076,6 +1140,7 @@ class TestCache:
 
         monkeypatch.setattr(cli, "read_ndjson", fail)
         monkeypatch.setattr(evaluation, "load_labeled_ndjson", fail)
+        monkeypatch.setattr(evaluation, "labeled_examples", fail)
         argv = [command, *flags.get(command, ["--input", "labeled.ndjson"]), "--cache", "loop.tsv"]
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr() == ("", f"error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'loop.tsv'\n")
@@ -1828,7 +1893,7 @@ def test_unknown_package_attribute_fails_like_a_plain_module():
     [
         (bayes, "train", ["train", "--input", "labeled.ndjson", "--model", "m.json"]),
         (bayes, "load_model", ["classify", "--input", "labeled.ndjson", "--model", "model.json", "--output", "o"]),
-        (evaluation, "load_labeled_ndjson", ["train", "--input", "labeled.ndjson", "--model", "m.json"]),
+        (evaluation, "labeled_examples", ["train", "--input", "labeled.ndjson", "--model", "m.json"]),
         (evaluation, "load_labeled_ndjson", ["report", "--input", "labeled.ndjson"]),
         (evaluation, "diagnostic_tags", ["classify", "--input", "labeled.ndjson", "--model", "model.json", "--output", "o"]),
     ],
@@ -1869,17 +1934,28 @@ def _cache_in(argv):
     ids=_command_name,
 )
 def test_target_inside_a_symlink_loop_is_an_input_error(tmp_path, labeled_file, model_file, capsys, monkeypatch, argv):
-    # Each target, the cache too, is tried in a directory that is a symlink loop and in a missing one.
+    # Each target, the cache too, is tried in a directory that is a symlink loop, in a
+    # missing one, and as a symlink loop itself, which would be replaced by a file.
     monkeypatch.chdir(tmp_path)
     write_raw_corpus(tmp_path / "raw.ndjson")
     (tmp_path / "a").symlink_to("b")
     (tmp_path / "b").symlink_to("a")
+    (tmp_path / "loop.json").symlink_to("loop.json")
     before = sorted(os.listdir(tmp_path))
     _forbid_reading(monkeypatch)
-    for target, code in (("a/x.json", errno.ELOOP), ("nodir/c.tsv", errno.ENOENT)):
+    for target, code in (("a/x.json", errno.ELOOP), ("nodir/c.tsv", errno.ENOENT), ("loop.json", errno.ELOOP)):
         assert main([target if part == "a/x.json" else part for part in argv]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: {target!r}\n"
         assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_a_dangling_symlink_target_is_written_through(tmp_path, labeled_file, capsys, monkeypatch):
+    # Unlike a symlink loop, a link to a file not made yet names a file that can be written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.json").symlink_to("m.json")
+    assert main(["train", "--input", "labeled.ndjson", "--model", "link.json"]) == EXIT_OK
+    assert (tmp_path / "link.json").is_symlink()
+    assert load_model(tmp_path / "m.json").total_examples == 100
 
 
 def test_module_entry_point():
