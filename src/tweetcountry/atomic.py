@@ -2,32 +2,44 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import stat
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
 
-def _standard_stream_fd(path: str | Path) -> int | None:
-    """1 or 2 when path is the same file as this process's stdout or stderr."""
+IN_PLACE = -1  # target's answer for a file written in place that is not a standard stream
+
+
+def target(path: str | Path) -> int | tuple[int, int] | str:
+    """How open_atomic writes path, from one stat of path as given: the file it
+    replaces, as (st_ino, st_dev), or its real path if it is not made yet; or
+    the descriptor it writes in place, 1 or 2 for this process's stdout or
+    stderr, IN_PLACE for any other file that is not regular. OSError naming
+    path for a directory, a missing or non-directory parent, or a symlink loop."""
+    name = os.fspath(path)
     try:
-        target_stat = os.stat(path)
-    except OSError:
-        return None
+        try:
+            info = os.stat(name)
+        except FileNotFoundError:
+            # Not realpath first: /dev/stdout into a pipe resolves to a path that does not exist.
+            real = os.path.realpath(name)
+            os.stat(os.path.dirname(real))
+            return real
+        if stat.S_ISDIR(info.st_mode):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, name) from None
     for fd in (1, 2):
         try:
-            if os.path.samestat(target_stat, os.fstat(fd)):
+            if os.path.samestat(info, os.fstat(fd)):
                 return fd
         except OSError:
             continue
-    return None
-
-
-def writes_in_place(path: str | Path) -> bool:
-    """Whether open_atomic writes path in place, as a standard stream or an
-    existing file that is not regular, rather than replacing it."""
-    return _standard_stream_fd(path) is not None or (os.path.exists(path) and not os.path.isfile(path))
+    return (info.st_ino, info.st_dev) if stat.S_ISREG(info.st_mode) else IN_PLACE
 
 
 @contextmanager
@@ -38,7 +50,9 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
     flushed to disk and then renamed over the target when the block ends: a
     reader sees the old file or the new one, never a mix. If the block or any
     step fails, the temporary file is removed and the old file is left as it
-    was. A symlink is followed and the file it names is replaced.
+    was. A symlink is followed and the file it names is replaced. A directory,
+    a path in a missing directory or under a file, and a symlink loop raise
+    OSError naming path before anything is written.
 
     A target that is the same file as stdout or stderr, such as /dev/stdout
     redirected to a file, is written through a duplicate of that descriptor,
@@ -46,16 +60,13 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
     prints there later. Any other target that exists but is not a regular
     file, such as a pipe, cannot be replaced and is written directly.
     """
-    target = Path(path)
-    if writes_in_place(target):
-        stream_fd = _standard_stream_fd(target)
-        with open(target if stream_fd is None else os.dup(stream_fd), "w", encoding="utf-8") as handle:
+    where = target(path)
+    if isinstance(where, int):
+        with open(path if where == IN_PLACE else os.dup(where), "w", encoding="utf-8") as handle:
             yield handle
         return
-    # realpath, not Path.resolve: on Python before 3.13, resolve raises
-    # RuntimeError on a symlink loop, where open below raises ELOOP.
-    target = Path(os.path.realpath(target))
-    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    real = Path(where if isinstance(where, str) else os.path.realpath(path))
+    tmp = real.with_name(f".{real.name}.{os.urandom(8).hex()}.tmp")
     try:
         handle = open(tmp, "x", encoding="utf-8")
     except OSError as exc:  # name the caller's target, not the temporary file
@@ -65,7 +76,7 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
             yield handle
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, target)
+        os.replace(tmp, real)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

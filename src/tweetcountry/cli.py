@@ -12,10 +12,8 @@ Exit codes: 0 success, 2 input or configuration problem, 3 model problem,
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
-import stat
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -23,7 +21,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Iterator
 
 from . import errors
-from .atomic import open_atomic, writes_in_place
+from .atomic import open_atomic, target
 # The exit codes are re-exported here, where callers of main look for them.
 from .errors import EXIT_GEOCODER, EXIT_INPUT, EXIT_MODEL  # noqa: F401
 from .errors import MalformedInput, ResolverFailure, TweetCountryError
@@ -192,12 +190,11 @@ _READ = ("input", "eval_input", "model", "gazetteer", "reverse_points", "region_
 
 
 def _require_paths(cfg: SimpleNamespace, *names: str, outputs: tuple[str, ...] = ()) -> None:
-    """Check, before any input is read, that each of names is given; that each
-    file written (outputs and --cache) sits in a directory and is neither one
-    nor a symlink loop (else OSError naming it); and that no file written names
-    one file with any other file the command names, --config included, unless
-    open_atomic writes it in place. An existing file is known by inode, so a
-    hard link counts."""
+    """Check, before any input is read, that each of names is given; that
+    atomic.target accepts each file written (outputs and --cache), else its
+    OSError; and that no file written names one file with any other file the
+    command names, --config included, unless open_atomic writes it in place.
+    An existing file is known by inode, so a hard link counts."""
     for name in names:
         if getattr(cfg, name) in (None, ""):
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
@@ -208,22 +205,13 @@ def _require_paths(cfg: SimpleNamespace, *names: str, outputs: tuple[str, ...] =
         path, flag, writes = getattr(cfg, name), "--" + name.replace("_", "-"), name in written
         if not path:
             continue
-        # realpath: Path.resolve raises RuntimeError on a symlink loop before Python 3.13.
-        real = os.path.realpath(path)
         if writes:
-            try:
-                if os.path.isdir(real):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                if not stat.S_ISDIR(os.stat(os.path.dirname(real)).st_mode):
-                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
-                if os.path.islink(real):  # realpath leaves a link unresolved only in a loop
-                    os.stat(real)
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from None
-            if writes_in_place(path):
+            key = target(path)
+            if isinstance(key, int):  # written in place
                 continue
-        info = os.stat(real) if os.path.exists(real) else None
-        key = (info.st_ino, info.st_dev) if info else real
+        else:  # a file read: its reader reports any error
+            info = os.stat(path) if os.path.exists(path) else None
+            key = (info.st_ino, info.st_dev) if info else os.path.realpath(path)
         if key in seen:
             raise ValueError(f"{seen[key]} and {flag} name the same file: {path!r}")
         if writes:

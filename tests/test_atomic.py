@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import stat
 import threading
@@ -83,7 +84,9 @@ def test_pipe_is_written_in_place(tmp_path):
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
-def _writers(separable_corpus):
+def _writers(separable_corpus, path):
+    """Each library writer, bound to path. The cache is loaded now, as a run
+    loads its cache first and compacts it last."""
     model = train([({K.TIMEZONE: "amsterdam"}, "NL"), ({K.TIMEZONE: "london"}, "GB")])
     evaluation = cross_validate(separable_corpus, k=2, kinds=(K.TIMEZONE,))
     rows = ablate(separable_corpus, [(K.TIMEZONE,)], k=2)
@@ -91,43 +94,72 @@ def _writers(separable_corpus):
         separable_corpus, kind_sets=[(K.TIMEZONE,)], min_count=1, region={"AA"}
     )
     return {
-        "save_model": lambda path: save_model(model, path),
-        "write_evaluation_json": lambda path: write_evaluation_json(evaluation, path),
-        "write_evaluation_csv": lambda path: write_evaluation_csv(evaluation, path),
-        "write_ablation_json": lambda path: write_ablation_json(rows, path),
-        "write_ablation_csv": lambda path: write_ablation_csv(rows, path),
-        "write_per_country_json": lambda path: write_per_country_json(report, path),
-        "write_per_country_csv": lambda path: write_per_country_csv(report, path),
+        "save_model": lambda: save_model(model, path),
+        "write_evaluation_json": lambda: write_evaluation_json(evaluation, path),
+        "write_evaluation_csv": lambda: write_evaluation_csv(evaluation, path),
+        "write_ablation_json": lambda: write_ablation_json(rows, path),
+        "write_ablation_csv": lambda: write_ablation_csv(rows, path),
+        "write_per_country_json": lambda: write_per_country_json(report, path),
+        "write_per_country_csv": lambda: write_per_country_csv(report, path),
+        "GeocodeCache.compact": GeocodeCache(path).compact,
     }
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "save_model",
-        "write_evaluation_json",
-        "write_evaluation_csv",
-        "write_ablation_json",
-        "write_ablation_csv",
-        "write_per_country_json",
-        "write_per_country_csv",
-    ],
-)
+_ARTIFACT_WRITERS = [
+    "save_model",
+    "write_evaluation_json",
+    "write_evaluation_csv",
+    "write_ablation_json",
+    "write_ablation_csv",
+    "write_per_country_json",
+    "write_per_country_csv",
+]
+
+
+@pytest.mark.parametrize("name", _ARTIFACT_WRITERS)
 def test_writer_failure_keeps_previous_artifact(name, separable_corpus, tmp_path, monkeypatch):
-    write = _writers(separable_corpus)[name]
     path = tmp_path / "artifact"
-    write(path)
+    write = _writers(separable_corpus, path)[name]
+    write()
     before = path.read_bytes()
     assert before
     path.write_bytes(b"previous run\n")
     monkeypatch.setattr(atomic.os, "replace", _fail_replace)
     with pytest.raises(OSError, match="replace failed"):
-        write(path)
+        write()
     assert path.read_bytes() == b"previous run\n"
     assert sorted(os.listdir(tmp_path)) == ["artifact"]
     monkeypatch.undo()
-    write(path)
+    write()
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "shape, code",
+    [
+        ("loop.json", errno.ELOOP),
+        ("dir", errno.EISDIR),
+        ("nodir/x.json", errno.ENOENT),
+        ("file.txt/x.json", errno.ENOTDIR),
+    ],
+    ids=["loop", "directory", "missing-directory", "under-a-file"],
+)
+@pytest.mark.parametrize("name", [*_ARTIFACT_WRITERS, "GeocodeCache.compact"])
+def test_writer_refuses_a_target_it_cannot_replace(name, shape, code, separable_corpus, tmp_path):
+    # The target takes its shape after the writer is set up; the refusal reads as the CLI's does.
+    path = tmp_path / shape
+    write = _writers(separable_corpus, path)[name]
+    (tmp_path / "loop.json").symlink_to("loop.json")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file.txt").write_text("kept\n", encoding="utf-8")
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(OSError) as refused:
+        write()
+    assert str(refused.value) == f"[Errno {code}] {os.strerror(code)}: {str(path)!r}"
+    assert sorted(os.listdir(tmp_path)) == before
+    assert os.readlink(tmp_path / "loop.json") == "loop.json"
+    assert os.listdir(tmp_path / "dir") == []
+    assert (tmp_path / "file.txt").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_cache_compaction_failure_keeps_cache_file(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
-from contextlib import redirect_stdout
+from contextlib import nullcontext, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import tweetcountry
 from tweetcountry import bayes, cli, evaluation
+from tweetcountry.atomic import write_text_atomic
 from tweetcountry.bayes import load_model, save_model
 from tweetcountry.cli import (
     CONFIG_FIELDS,
@@ -1039,27 +1040,38 @@ def test_options_a_command_only_reads_may_name_one_file(tmp_path, labeled_file, 
     assert read_summary(capsys)["command"] == argv[0]
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
-def test_reports_to_redirected_dev_stdout_keep_both_and_the_summary(tmp_path, labeled_file):
+def _stdout_of(args, captured):
+    """Run the module with args, its stdout the file captured or, for None, a
+    pipe, and return the text it printed there."""
     package_root = str(Path(tweetcountry.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    captured = tmp_path / "captured.txt"
-    with captured.open("wb") as stdout:
+    with open(captured, "wb") if captured else nullcontext(subprocess.PIPE) as stdout:
         result = subprocess.run(
-            [sys.executable, "-m", "tweetcountry", "evaluate", "--input", str(labeled_file), "--k", "2",
-             "--report-json", "/dev/stdout", "--report-csv", str(captured)],
+            [sys.executable, "-m", "tweetcountry", *args],
             stdout=stdout,
             stderr=subprocess.PIPE,
             env=env,
             timeout=60,
         )
     assert result.returncode == 0, result.stderr
-    text = captured.read_text(encoding="utf-8")
+    return captured.read_text(encoding="utf-8") if captured else result.stdout.decode("utf-8")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("into", ["file", "pipe"])
+def test_reports_to_redirected_dev_stdout_keep_both_and_the_summary(tmp_path, labeled_file, into):
+    # Into a file, the CSV names that file; into a pipe, /dev/stdout again.
+    captured = tmp_path / "captured.txt" if into == "file" else None
+    csv_target = str(captured) if captured else "/dev/stdout"
+    text = _stdout_of(
+        ["evaluate", "--input", str(labeled_file), "--k", "2", "--report-json", "/dev/stdout", "--report-csv", csv_target],
+        captured,
+    )
     report_end = text.index("}\n# config_sha256=") + 2
     assert json.loads(text[:report_end])["accuracy_pooled"]["fraction"] == "1/1"
     summary_start = text.index("\n{\n") + 1
     assert text[report_end:summary_start].startswith("# config_sha256=")
-    assert json.loads(text[summary_start:])["report_csv"] == str(captured)
+    assert json.loads(text[summary_start:])["report_csv"] == csv_target
 
 
 class TestCache:
@@ -1743,22 +1755,12 @@ def test_labeled_text_errors_name_the_line(tmp_path, labeled_file, model_file, c
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
-def test_label_to_redirected_dev_stdout_keeps_records_and_summary(tmp_path):
+@pytest.mark.parametrize("into", ["file", "pipe"])
+def test_label_to_redirected_dev_stdout_keeps_records_and_summary(tmp_path, into):
     raw = tmp_path / "raw.ndjson"
     write_place_coded_tweets(raw)
-    package_root = str(Path(tweetcountry.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    captured = tmp_path / "captured.txt"
-    with captured.open("wb") as stdout:
-        result = subprocess.run(
-            [sys.executable, "-m", "tweetcountry", "label", "--input", str(raw), "--output", "/dev/stdout"],
-            stdout=stdout,
-            stderr=subprocess.PIPE,
-            env=env,
-            timeout=60,
-        )
-    assert result.returncode == 0, result.stderr
-    lines = captured.read_text(encoding="utf-8").splitlines()
+    captured = tmp_path / "captured.txt" if into == "file" else None
+    lines = _stdout_of(["label", "--input", str(raw), "--output", "/dev/stdout"], captured).splitlines()
     assert [json.loads(line)["id"] for line in lines[:3]] == ["0", "1", "2"]
     summary = json.loads("\n".join(lines[3:]))
     assert (summary["command"], summary["labeled"]) == ("label", 3)
@@ -1956,6 +1958,56 @@ def test_a_dangling_symlink_target_is_written_through(tmp_path, labeled_file, ca
     assert main(["train", "--input", "labeled.ndjson", "--model", "link.json"]) == EXIT_OK
     assert (tmp_path / "link.json").is_symlink()
     assert load_model(tmp_path / "m.json").total_examples == 100
+
+
+@pytest.mark.parametrize(
+    "target, code",
+    [
+        ("real.json", None),
+        ("new.json", None),
+        ("dangling.json", None),
+        ("link.json", None),
+        ("pipe", None),
+        (os.devnull, None),
+        ("dir", errno.EISDIR),
+        ("nodir/x.json", errno.ENOENT),
+        ("real.json/x.json", errno.ENOTDIR),
+        ("loop.json", errno.ELOOP),
+        ("a/x.json", errno.ELOOP),
+    ],
+    ids=[
+        "regular", "missing", "dangling-link", "link", "fifo", "dev-null",
+        "directory", "missing-directory", "under-a-file", "loop", "in-a-loop",
+    ],
+)
+def test_the_cli_and_the_writers_refuse_the_same_targets(tmp_path, labeled_file, capsys, monkeypatch, target, code):
+    # The CLI's up-front check and open_atomic apply one rule: both accept a
+    # target, or both refuse it with the same message.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "real.json").write_text("old\n", encoding="utf-8")
+    (tmp_path / "dangling.json").symlink_to("made.json")
+    (tmp_path / "link.json").symlink_to("real.json")
+    os.mkfifo(tmp_path / "pipe")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "loop.json").symlink_to("loop.json")
+    (tmp_path / "a").symlink_to("b")
+    (tmp_path / "b").symlink_to("a")
+    expected = None if code is None else f"error: [Errno {code}] {os.strerror(code)}: {target!r}\n"
+    _forbid_reading(monkeypatch)
+    try:
+        assert main(["train", "--input", "labeled.ndjson", "--model", target]) == EXIT_INPUT
+        cli_error = capsys.readouterr().err
+    except pytest.fail.Exception:  # the check passed and the command went on to read
+        cli_error = None
+    reader = os.open("pipe", os.O_RDONLY | os.O_NONBLOCK)  # so the pipe opens for writing at once
+    try:
+        write_text_atomic(target, "new\n")
+        writer_error = None
+    except OSError as exc:
+        writer_error = f"error: {exc}\n"
+    finally:
+        os.close(reader)
+    assert (cli_error, writer_error) == (expected, expected)
 
 
 def test_module_entry_point():
