@@ -6,7 +6,7 @@ Options resolve in three layers: built-in defaults, then a config file of
 resolved configuration (or its SHA-256) so runs can be reproduced exactly.
 
 Exit codes: 0 success, 2 input or configuration problem, 3 model problem,
-4 geocoding problem.
+4 geocoding problem, 141 the reader of stdout left before the command ended.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import os
 import sys
 from contextlib import ExitStack
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Callable, Iterator
 
 from . import errors
@@ -55,6 +54,7 @@ from .tweet_model import (
 # when it runs, so it calls whatever the module holds then (a tracer's span).
 
 EXIT_OK = 0
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a command a closed pipe ended
 
 CREDENTIAL_ENV_VAR = "TWEETCOUNTRY_REMOTE_CREDENTIAL"
 
@@ -126,225 +126,229 @@ def parse_config_file(path: str | Path) -> dict[str, Any]:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
-    """Merge defaults, config file, and flags into one resolved namespace.
-
-    Flags beat the config file; the config file beats defaults. The resolved
-    mapping is echoed into artifacts, with its digest as the artifact's id.
-    """
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    resolved: dict[str, Any] = {}
-    for name, (_, default, _) in CONFIG_FIELDS.items():
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            resolved[name] = flag_value
-        elif name in file_values:
-            resolved[name] = file_values[name]
-        else:
-            resolved[name] = default
-    if resolved["fold_orientation"] not in FOLD_ORIENTATIONS:
-        raise ValueError(
-            f"fold_orientation must be {' or '.join(FOLD_ORIENTATIONS)}, got {resolved['fold_orientation']!r}"
-        )
-    if resolved["top"] < 1:
-        raise ValueError("top must be at least 1")
-    # Checked here as well as in train, so a bad value fails before any input is read.
-    if not 0 <= resolved["alpha"] <= sys.float_info.max:
-        raise ValueError(f"alpha must be a finite non-negative number, got {resolved['alpha']!r}")
-    resolved["kinds"] = kinds_label(parse_kinds_label(resolved["kinds"].replace(",", "+")))
-    context = SimpleNamespace(**resolved)
-    context.echo = dict(resolved)
-    context.digest = config_digest(context.echo)
-    context.config = getattr(args, "config", None)  # a file read, kept out of the echo
-    return context
+# The file options a command reads, when its row in COMMANDS takes them and it does not write them.
+_READ = ("input", "eval_input", "model", "gazetteer", "reverse_points", "region_file", "config")
 
 
-def build_geocoder(cfg: SimpleNamespace) -> Geocoder:
+class Run:
+    """One command's run: each option as an attribute named by its CONFIG_FIELDS key, the
+    resolved mapping that artifacts echo (echo) with its digest as their id, the exit stack
+    that closes what the command opened, the atomic.target of each file it writes (targets,
+    keyed by option) and its record counts (counts)."""
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.config = getattr(args, "config", None)  # a file read, kept out of the echo
+        file_values = parse_config_file(self.config) if self.config else {}
+        defaults = {name: default for name, (_, default, _) in CONFIG_FIELDS.items()}
+        flags = {name: getattr(args, name) for name in CONFIG_FIELDS if getattr(args, name, None) is not None}
+        resolved = {**defaults, **file_values, **flags}  # flags beat the config file, which beats defaults
+        if resolved["fold_orientation"] not in FOLD_ORIENTATIONS:
+            raise ValueError(
+                f"fold_orientation must be {' or '.join(FOLD_ORIENTATIONS)}, got {resolved['fold_orientation']!r}"
+            )
+        # train and Geocoder check alpha and max_in_flight too; here they fail before any input is read.
+        for name in ("top", "max_in_flight"):
+            if resolved[name] < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 0 <= resolved["alpha"] <= sys.float_info.max:
+            raise ValueError(f"alpha must be a finite non-negative number, got {resolved['alpha']!r}")
+        resolved["kinds"] = kinds_label(parse_kinds_label(resolved["kinds"].replace(",", "+")))
+        vars(self).update(resolved)
+        self.echo = resolved
+        self.digest = config_digest(resolved)
+        self.keys = COMMANDS[args.command][2]
+        self.case_fold_given = getattr(args, "case_fold", None)
+        self.exit_stack = ExitStack()
+        self.targets: dict[str, int | tuple[int, int] | str] = {}
+        self.counts: dict[str, int] = {}
+
+    def set(self, name: str, value: Any) -> None:
+        """Give option name value, in the echo and its digest too."""
+        setattr(self, name, value)
+        self.echo[name] = value
+        self.digest = config_digest(self.echo)
+
+    def require_paths(self, *names: str, outputs: tuple[str, ...] = ()) -> None:
+        """Check, before any input is read, that each of names is given; that atomic.target
+        accepts each file written (outputs and --cache), else its OSError, and keep its answer
+        in targets; and that no file written names one file with any other file the command
+        names, --config included, unless open_atomic writes it in place. An existing file is
+        known by inode, so a hard link counts."""
+        for name in names:
+            if getattr(self, name) in (None, ""):
+                raise ValueError(f"missing required option --{name.replace('_', '-')}")
+        written = (*outputs, "cache")
+        read = tuple(name for name in _READ if name in self.keys and name not in written)
+        seen: dict[object, str] = {}
+        for name in (*written, *read):
+            path, flag, writes = getattr(self, name), "--" + name.replace("_", "-"), name in written
+            if not path:
+                continue
+            if writes:
+                key = self.targets[name] = target(path)
+                if isinstance(key, int):  # written in place
+                    continue
+            else:  # a file read: its reader reports any error
+                info = os.stat(path) if os.path.exists(path) else None
+                key = (info.st_ino, info.st_dev) if info else os.path.realpath(path)
+            if key in seen:
+                raise ValueError(f"{seen[key]} and {flag} name the same file: {path!r}")
+            if writes:
+                seen[key] = flag
+
+
+def build_geocoder(run: Run) -> Geocoder:
     """The geocoder the config describes. Its cache holds one append
     descriptor until the run's exit stack closes."""
-    gazetteer = load_gazetteer(cfg.gazetteer) if cfg.gazetteer else default_gazetteer()
+    gazetteer = load_gazetteer(run.gazetteer) if run.gazetteer else default_gazetteer()
     # A given points file is parsed now, so a bad one fails every command alike;
     # the bundled index is built on the first reverse lookup, which only label makes.
     reverse_index = (
-        load_reverse_points(cfg.reverse_points) if cfg.reverse_points else default_reverse_index
+        load_reverse_points(run.reverse_points) if run.reverse_points else default_reverse_index
     )
-    cache = cfg.exit_stack.enter_context(GeocodeCache(cfg.cache))
+    cache = run.exit_stack.enter_context(GeocodeCache(run.cache))
     remote = None
-    if cfg.remote_backend and cfg.remote_backend != "none":
-        factory = REMOTE_BACKENDS.get(cfg.remote_backend)
+    if run.remote_backend and run.remote_backend != "none":
+        factory = REMOTE_BACKENDS.get(run.remote_backend)
         if factory is None:
             known = ", ".join(sorted(REMOTE_BACKENDS)) or "none registered"
-            raise ValueError(f"unknown remote backend {cfg.remote_backend!r} ({known})")
-        remote = factory(dict(cfg.echo), os.environ.get(CREDENTIAL_ENV_VAR))
+            raise ValueError(f"unknown remote backend {run.remote_backend!r} ({known})")
+        remote = factory(dict(run.echo), os.environ.get(CREDENTIAL_ENV_VAR))
     return Geocoder(
         gazetteer=gazetteer,
         cache=cache,
         remote=remote,
         reverse_index=reverse_index,
-        max_in_flight=cfg.max_in_flight,
+        max_in_flight=run.max_in_flight,
     )
 
 
-# The file options a command reads, when its row in COMMANDS takes them and it does not write them.
-_READ = ("input", "eval_input", "model", "gazetteer", "reverse_points", "region_file", "config")
-
-
-def _require_paths(cfg: SimpleNamespace, *names: str, outputs: tuple[str, ...] = ()) -> None:
-    """Check, before any input is read, that each of names is given; that
-    atomic.target accepts each file written (outputs and --cache), else its
-    OSError; and that no file written names one file with any other file the
-    command names, --config included, unless open_atomic writes it in place.
-    An existing file is known by inode, so a hard link counts."""
-    for name in names:
-        if getattr(cfg, name) in (None, ""):
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
-    written = (*outputs, "cache")
-    read = tuple(name for name in _READ if name in cfg.keys and name not in written)
-    seen: dict[object, str] = {}
-    for name in (*written, *read):
-        path, flag, writes = getattr(cfg, name), "--" + name.replace("_", "-"), name in written
-        if not path:
-            continue
-        if writes:
-            key = target(path)
-            if isinstance(key, int):  # written in place
-                continue
-        else:  # a file read: its reader reports any error
-            info = os.stat(path) if os.path.exists(path) else None
-            key = (info.st_ino, info.st_dev) if info else os.path.realpath(path)
-        if key in seen:
-            raise ValueError(f"{seen[key]} and {flag} name the same file: {path!r}")
-        if writes:
-            seen[key] = flag
-
-
-def _write_reports(cfg: SimpleNamespace, report, write_json, write_csv) -> dict:
-    """Write each report given (_require_paths checked both) and return both paths."""
-    for path, write in ((cfg.report_json, write_json), (cfg.report_csv, write_csv)):
+def _write_reports(run: Run, report, write_json, write_csv) -> dict:
+    """Write each report given (Run.require_paths checked both) and return both paths."""
+    for path, write in ((run.report_json, write_json), (run.report_csv, write_csv)):
         if path:
             write(report, path)
-    return {"report_json": cfg.report_json, "report_csv": cfg.report_csv}
+    return {"report_json": run.report_json, "report_csv": run.report_csv}
 
 
-def _records(cfg: SimpleNamespace, totals: dict[str, int]) -> Iterator[tuple[int, TweetRecord]]:
+def _records(run: Run) -> Iterator[tuple[int, TweetRecord]]:
     """Yield (line number, record) for each well-formed line of --input.
 
     Lines are read by ``read_ndjson``; every non-blank one counts in
-    totals["total"]. A malformed line counts in totals["malformed"], or with
-    --strict raises MalformedInput prefixed with path:lineno.
+    run.counts["total"]. A malformed line counts in run.counts["malformed"],
+    or with --strict raises MalformedInput prefixed with path:lineno.
     """
-    for lineno, record, error in read_ndjson(cfg.input, parse_tweet):
-        totals["total"] += 1
+    for lineno, record, error in read_ndjson(run.input, parse_tweet):
+        run.counts["total"] += 1
         if error is not None:
-            if cfg.strict:
-                raise MalformedInput(f"{cfg.input}:{lineno}: {error}") from None
-            totals["malformed"] += 1
+            if run.strict:
+                raise MalformedInput(f"{run.input}:{lineno}: {error}") from None
+            run.counts["malformed"] += 1
             continue
         yield lineno, record
 
 
-def cmd_label(cfg: SimpleNamespace) -> dict:
+def cmd_label(run: Run) -> dict:
     """Read raw tweets, write records whose country could be derived."""
-    _require_paths(cfg, "input", "output", outputs=("output",))
-    geocoder = build_geocoder(cfg)
-    totals = {"total": 0, "labeled": 0, "skipped": 0, "malformed": 0}
-    with open_atomic(cfg.output) as sink:
-        for lineno, record in _records(cfg, totals):
+    run.require_paths("input", "output", outputs=("output",))
+    geocoder = build_geocoder(run)
+    run.counts.update(total=0, labeled=0, skipped=0, malformed=0)
+    with open_atomic(run.output) as sink:
+        for lineno, record in _records(run):
             try:
                 country = label_of(record, geocoder)
             except ResolverFailure as exc:
-                if cfg.strict:
-                    raise ResolverFailure(f"{cfg.input}:{lineno}: {exc}") from None
-                totals["skipped"] += 1
+                if run.strict:
+                    raise ResolverFailure(f"{run.input}:{lineno}: {exc}") from None
+                run.counts["skipped"] += 1
                 continue
             if country is None:
-                totals["skipped"] += 1
+                run.counts["skipped"] += 1
                 continue
-            sink.write(labeled_line(record, country, cfg.digest))
-            totals["labeled"] += 1
-    return {**totals, "output": cfg.output}
+            sink.write(labeled_line(record, country, run.digest))
+            run.counts["labeled"] += 1
+    return {**run.counts, "output": run.output}
 
 
-def cmd_train(cfg: SimpleNamespace) -> dict:
+def cmd_train(run: Run) -> dict:
     """Fit a model on a labeled NDJSON file and write it as JSON."""
     from .bayes import save_model, train
     # The reader stays in evaluation: a tracer patches that module, so train must load it.
     from .evaluation import labeled_examples
 
-    _require_paths(cfg, "input", "model", outputs=("model",))
-    geocoder = build_geocoder(cfg)
-    kinds = parse_kinds_label(cfg.kinds)
+    run.require_paths("input", "model", outputs=("model",))
+    geocoder = build_geocoder(run)
+    kinds = parse_kinds_label(run.kinds)
     examples = (
-        (extract_features(tweet, geocoder, kinds, case_fold=cfg.case_fold), label)
-        for tweet, label in labeled_examples(cfg.input)
+        (extract_features(tweet, geocoder, kinds, case_fold=run.case_fold), label)
+        for tweet, label in labeled_examples(run.input)
     )
-    model = train(examples, alpha=cfg.alpha, enabled_kinds=kinds)
-    save_model(model, cfg.model, config=cfg.echo)
+    model = train(examples, alpha=run.alpha, enabled_kinds=kinds)
+    save_model(model, run.model, config=run.echo)
     return {
-        "model": cfg.model,
+        "model": run.model,
         "classes": len(model.class_count),
         "total_examples": model.total_examples,
         "vocabulary_sizes": model.vocabulary_sizes(),
     }
 
 
-def cmd_classify(cfg: SimpleNamespace) -> dict:
+def cmd_classify(run: Run) -> dict:
     """Predict a country per input tweet; one output line per parsed tweet."""
     from .bayes import load_model, log_posterior
     from .evaluation import diagnostic_tags
 
-    _require_paths(cfg, "input", "output", "model", outputs=("output",))
-    model = load_model(cfg.model)
+    run.require_paths("input", "output", "model", outputs=("output",))
+    model = load_model(run.model)
     trained_case_fold = (model.config or {}).get("case_fold")
     # Unless the flag was given explicitly, mirror how the model was trained,
     # and echo the setting applied.
-    if cfg.case_fold_given is None and isinstance(trained_case_fold, bool):
-        cfg.case_fold = cfg.echo["case_fold"] = trained_case_fold
-        cfg.digest = config_digest(cfg.echo)
-    geocoder = build_geocoder(cfg)
-    totals = {"total": 0, "classified": 0, "malformed": 0}
-    with open_atomic(cfg.output) as sink:
-        for _, record in _records(cfg, totals):
-            vector = extract_features(record, geocoder, model.enabled_kinds, case_fold=cfg.case_fold)
-            ranked = log_posterior(model, vector, uniform_priors=cfg.uniform_priors, top=cfg.top)
+    if run.case_fold_given is None and isinstance(trained_case_fold, bool):
+        run.set("case_fold", trained_case_fold)
+    geocoder = build_geocoder(run)
+    run.counts.update(total=0, classified=0, malformed=0)
+    with open_atomic(run.output) as sink:
+        for _, record in _records(run):
+            vector = extract_features(record, geocoder, model.enabled_kinds, case_fold=run.case_fold)
+            ranked = log_posterior(model, vector, uniform_priors=run.uniform_priors, top=run.top)
             tags = sorted(diagnostic_tags(model, vector, ranked[0][0]))
-            sink.write(prediction_line(record.id, ranked, tags, cfg.digest))
-            totals["classified"] += 1
-    return {**totals, "output": cfg.output}
+            sink.write(prediction_line(record.id, ranked, tags, run.digest))
+            run.counts["classified"] += 1
+    return {**run.counts, "output": run.output}
 
 
-def _labeled_input(cfg: SimpleNamespace) -> tuple[Any, dict[str, Any]]:
+def _labeled_input(run: Run) -> tuple[Any, dict[str, Any]]:
     """Check --input and the report targets, build the geocoder and load --input: the
     set-up of evaluate, ablate and report. Returns the data and the options all three pass on."""
     from .evaluation import load_labeled_ndjson
 
-    _require_paths(cfg, "input", outputs=("report_json", "report_csv"))
-    geocoder = build_geocoder(cfg)
-    data = load_labeled_ndjson(cfg.input)
+    run.require_paths("input", outputs=("report_json", "report_csv"))
+    geocoder = build_geocoder(run)
+    data = load_labeled_ndjson(run.input)
     return data, {
-        "alpha": cfg.alpha,
+        "alpha": run.alpha,
         "geoparser": geocoder,
-        "uniform_priors": cfg.uniform_priors,
-        "case_fold": cfg.case_fold,
-        "config": {"cli": cfg.echo},
+        "uniform_priors": run.uniform_priors,
+        "case_fold": run.case_fold,
+        "config": {"cli": run.echo},
     }
 
 
-def cmd_evaluate(cfg: SimpleNamespace) -> dict:
+def cmd_evaluate(run: Run) -> dict:
     """Seeded k-fold cross-validation on a labeled NDJSON file."""
     from .evaluation import cross_validate, write_evaluation_csv, write_evaluation_json
 
-    data, shared = _labeled_input(cfg)
+    data, shared = _labeled_input(run)
     report = cross_validate(
         data,
-        k=cfg.k,
-        kinds=parse_kinds_label(cfg.kinds),
-        seed=cfg.seed,
-        orientation=cfg.fold_orientation,
+        k=run.k,
+        kinds=parse_kinds_label(run.kinds),
+        seed=run.seed,
+        orientation=run.fold_orientation,
         **shared,
     )
     return {
-        **_write_reports(cfg, report, write_evaluation_json, write_evaluation_csv),
+        **_write_reports(run, report, write_evaluation_json, write_evaluation_csv),
         "n_evaluated": report.n_evaluated,
         "accuracy_pooled": float(report.pooled_accuracy),
         "accuracy_pooled_fraction": f"{report.pooled_accuracy.numerator}/{report.pooled_accuracy.denominator}",
@@ -360,43 +364,43 @@ def _parse_kind_sets(text: str) -> list[tuple[FeatureKind, ...]]:
     return kind_sets
 
 
-def _ablation_subsets(cfg: SimpleNamespace):
+def _ablation_subsets(run: Run):
     from .evaluation import ABLATION_PRESETS
 
-    if cfg.preset and cfg.subsets:
+    if run.preset and run.subsets:
         raise ValueError("give either --preset or --subsets, not both")
-    if cfg.subsets:
-        return _parse_kind_sets(cfg.subsets)
-    preset = cfg.preset or "table1"
+    if run.subsets:
+        return _parse_kind_sets(run.subsets)
+    preset = run.preset or "table1"
     if preset not in ABLATION_PRESETS:
         known = ", ".join(sorted(ABLATION_PRESETS))
         raise ValueError(f"unknown preset {preset!r} (known: {known})")
     return list(ABLATION_PRESETS[preset])
 
 
-def cmd_ablate(cfg: SimpleNamespace) -> dict:
+def cmd_ablate(run: Run) -> dict:
     """Cross-validate a grid of feature subsets against identical folds."""
     from .evaluation import ablate, write_ablation_csv, write_ablation_json
 
-    data, shared = _labeled_input(cfg)
+    data, shared = _labeled_input(run)
     rows = ablate(
         data,
-        subsets=_ablation_subsets(cfg),
-        k=cfg.k,
-        seed=cfg.seed,
-        orientation=cfg.fold_orientation,
+        subsets=_ablation_subsets(run),
+        k=run.k,
+        seed=run.seed,
+        orientation=run.fold_orientation,
         **shared,
     )
     best = max(rows, key=lambda row: row.report.pooled_accuracy)
     return {
-        **_write_reports(cfg, rows, write_ablation_json, write_ablation_csv),
+        **_write_reports(run, rows, write_ablation_json, write_ablation_csv),
         "subsets": {row.label: float(row.report.pooled_accuracy) for row in rows},
         "best_subset": best.label,
         "best_accuracy": float(best.report.pooled_accuracy),
     }
 
 
-def cmd_report(cfg: SimpleNamespace) -> dict:
+def cmd_report(run: Run) -> dict:
     """Per-country accuracy table with summary and region rows."""
     from .evaluation import (
         REPORT_KIND_SETS,
@@ -407,20 +411,20 @@ def cmd_report(cfg: SimpleNamespace) -> dict:
         write_per_country_json,
     )
 
-    train_data, shared = _labeled_input(cfg)
-    eval_data = load_labeled_ndjson(cfg.eval_input) if cfg.eval_input else None
-    kind_sets = _parse_kind_sets(cfg.kind_sets) if cfg.kind_sets else list(REPORT_KIND_SETS)
+    train_data, shared = _labeled_input(run)
+    eval_data = load_labeled_ndjson(run.eval_input) if run.eval_input else None
+    kind_sets = _parse_kind_sets(run.kind_sets) if run.kind_sets else list(REPORT_KIND_SETS)
     report = per_country_report(
         train_data,
         eval_data,
         kind_sets=kind_sets,
-        min_count=cfg.min_count,
-        region=load_region(cfg.region_file) if cfg.region_file else None,
-        region_name=cfg.region_name,
+        min_count=run.min_count,
+        region=load_region(run.region_file) if run.region_file else None,
+        region_name=run.region_name,
         **shared,
     )
     return {
-        **_write_reports(cfg, report, write_per_country_json, write_per_country_csv),
+        **_write_reports(run, report, write_per_country_json, write_per_country_csv),
         "mode": report.mode,
         "countries": len(report.rows),
         "omitted_countries": report.omitted_countries,
@@ -431,18 +435,18 @@ def cmd_report(cfg: SimpleNamespace) -> dict:
     }
 
 
-def cmd_cache_stats(cfg: SimpleNamespace) -> dict:
+def cmd_cache_stats(run: Run) -> dict:
     """Count the entries of a persistent geocode cache file."""
-    _require_paths(cfg, "cache")
-    os.stat(cfg.cache)  # a missing file is an error, not an empty cache
-    return GeocodeCache(cfg.cache).stats()
+    run.require_paths("cache")
+    os.stat(run.cache)  # a missing file is an error, not an empty cache
+    return GeocodeCache(run.cache).stats()
 
 
-def cmd_cache_compact(cfg: SimpleNamespace) -> dict:
+def cmd_cache_compact(run: Run) -> dict:
     """Rewrite a persistent geocode cache file sorted and deduplicated."""
-    _require_paths(cfg, "cache")
-    os.stat(cfg.cache)  # a missing file is an error, not one to create
-    return {"path": cfg.cache, "entries": GeocodeCache(cfg.cache).compact()}
+    run.require_paths("cache")
+    os.stat(run.cache)  # a missing file is an error, not one to create
+    return {"path": run.cache, "entries": GeocodeCache(run.cache).compact()}
 
 
 _GEOCODER = ("gazetteer", "reverse_points", "cache", "remote_backend", "max_in_flight")
@@ -552,26 +556,29 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
+    run = summary = None
     try:
+        run = Run(args)
         # What the command holds open (the cache's append descriptor) is
         # closed here on every exit path, before the summary or error prints.
-        with ExitStack() as exit_stack:
-            cfg = resolve_config(args)
-            cfg.case_fold_given = getattr(args, "case_fold", None)
-            cfg.keys = COMMANDS[args.command][2]
-            cfg.exit_stack = exit_stack
+        with run.exit_stack:
             summary = {
-                **args.handler(cfg),
+                **args.handler(run),
                 "command": args.command,
-                "config": cfg.echo,
-                "config_sha256": cfg.digest,
+                "config": run.echo,
+                "config_sha256": run.digest,
             }
-        print(json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2))
+        # Flushed here, so a reader that left is found now, not at the interpreter's exit.
+        print(json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2), flush=True)
         return EXIT_OK
     except TweetCountryError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
     except (ValueError, OSError) as exc:
+        # The reader of stdout left, during the summary or an output written
+        # to descriptor 1: stop quietly. A broken pipe on any other output is an error.
+        if isinstance(exc, BrokenPipeError) and run and (summary or 1 in run.targets.values()):
+            return EXIT_CLOSED_PIPE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -579,4 +586,9 @@ def main(argv: list[str] | None = None) -> int:
 def main_script() -> None:
     # Applied by the first warning, so a run without one never imports logging.
     errors.warning_format = "%(levelname)s %(name)s: %(message)s"
-    sys.exit(main())
+    code = main()
+    if code == EXIT_CLOSED_PIPE:
+        # What print left buffered would fail again when the interpreter
+        # flushes stdout at exit; the Python docs' "Note on SIGPIPE" sends it to /dev/null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

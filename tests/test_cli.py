@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -30,6 +31,7 @@ from tweetcountry.atomic import write_text_atomic
 from tweetcountry.bayes import load_model, save_model
 from tweetcountry.cli import (
     CONFIG_FIELDS,
+    EXIT_CLOSED_PIPE,
     EXIT_GEOCODER,
     EXIT_INPUT,
     EXIT_MODEL,
@@ -39,6 +41,7 @@ from tweetcountry.cli import (
 )
 from tweetcountry.evaluation import config_digest, kfold_split, load_labeled_ndjson
 from tweetcountry.features import FeatureKind
+from tweetcountry.geocode import GeocodeCache
 from tweetcountry.tweet_model import FOLD_ORIENTATIONS, parse_tweet, to_flat_dict
 
 from conftest import make_separable_corpus
@@ -605,6 +608,67 @@ def test_evaluate_matches_the_exact_oracle(corpus, kinds, alpha, case_fold, unif
     assert least <= Fraction(summary["accuracy_pooled_fraction"]) * evaluated <= most
 
 
+# Each field of a noisy record, how often it names the record's own country,
+# and each country's value of it (a city the gazetteer knows, a time zone, a
+# UTC offset and two languages).
+_NOISY_FIELDS = ("user_location", "time_zone", "utc_offset_seconds", "tweet_language", "user_language")
+_NOISY_RATES = (0.5, 0.7, 0.8, 0.6, 0.4)
+_NOISY_PROFILES = {
+    "DE": ("Berlin", "Berlin", 3600, "de", "de"),
+    "ES": ("Madrid", "Madrid", 3600, "es", "es"),
+    "FR": ("Paris", "Paris", 3600, "fr", "fr"),
+    "GB": ("London", "London", 0, "en", "en"),
+    "NL": ("Amsterdam", "Amsterdam", 3600, "nl", "nl"),
+}
+
+
+def write_noisy_labeled_corpus(path, lines=400, seed=3):
+    """Labeled records whose fields each name the record's country at their
+    own rate, and a random country otherwise, so feature subsets score apart."""
+    rng = random.Random(seed)
+    countries = list(_NOISY_PROFILES)
+    with path.open("w", encoding="utf-8") as handle:
+        for index in range(lines):
+            country = rng.choice(countries)
+            fields = {
+                name: _NOISY_PROFILES[country if rng.random() < rate else rng.choice(countries)][position]
+                for position, (name, rate) in enumerate(zip(_NOISY_FIELDS, _NOISY_RATES))
+            }
+            handle.write(json.dumps({"id": str(index), "text": "", **fields, "country": country}) + "\n")
+
+
+def test_each_ablate_row_equals_evaluate_of_its_kinds(tmp_path, capsys):
+    labeled = tmp_path / "labeled.ndjson"
+    write_noisy_labeled_corpus(labeled)
+    shared = ["--input", str(labeled), "--k", "5", "--seed", "3", "--fold-orientation", "inverted"]
+    assert main(["ablate", "--preset", "table1", "--report-json", str(tmp_path / "a.json"), *shared]) == EXIT_OK
+    rows = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))["subsets"]
+    fields = ("accuracy_pooled", "accuracy_mean_of_folds", "n_evaluated")
+    for row in rows:
+        report = tmp_path / "e.json"
+        assert main(["evaluate", "--kinds", row["label"], "--report-json", str(report), *shared]) == EXIT_OK
+        evaluated = json.loads(report.read_text(encoding="utf-8"))
+        assert {name: evaluated[name] for name in fields} == {name: row[name] for name in fields}, row["label"]
+    capsys.readouterr()
+    assert len(rows) == 14
+    # The rows differ, so a row scored with another row's kinds would not match.
+    assert len({row["accuracy_pooled"]["fraction"] for row in rows}) > 5
+
+
+def test_train_model_bytes_ignore_the_line_order(tmp_path, capsys):
+    # Same --input and --model paths on both runs: both are in the config echo.
+    labeled, model = tmp_path / "labeled.ndjson", tmp_path / "model.json"
+    write_noisy_labeled_corpus(labeled)
+    argv = ["train", "--input", str(labeled), "--model", str(model)]
+    assert main(argv) == EXIT_OK
+    forward = model.read_bytes()
+    lines = labeled.read_text(encoding="utf-8").splitlines(keepends=True)
+    labeled.write_text("".join(reversed(lines)), encoding="utf-8")
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert model.read_bytes() == forward
+
+
 class TestEvaluate:
     def test_perfect_separable_run(self, tmp_path, labeled_file, capsys):
         report_json = tmp_path / "eval.json"
@@ -1040,21 +1104,116 @@ def test_options_a_command_only_reads_may_name_one_file(tmp_path, labeled_file, 
     assert read_summary(capsys)["command"] == argv[0]
 
 
+def _module_env(**overrides):
+    """The environment for running the module: this package first on the
+    path, and each override set, or unset where it is None."""
+    package_root = str(Path(tweetcountry.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **overrides}
+    return {name: value for name, value in env.items() if value is not None}
+
+
 def _stdout_of(args, captured):
     """Run the module with args, its stdout the file captured or, for None, a
     pipe, and return the text it printed there."""
-    package_root = str(Path(tweetcountry.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     with open(captured, "wb") if captured else nullcontext(subprocess.PIPE) as stdout:
         result = subprocess.run(
             [sys.executable, "-m", "tweetcountry", *args],
             stdout=stdout,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_module_env(),
             timeout=60,
         )
     assert result.returncode == 0, result.stderr
     return captured.read_text(encoding="utf-8") if captured else result.stdout.decode("utf-8")
+
+
+def _reader_leaves(args, unbuffered, tmp_path, lines_read=1, output=None):
+    """Run the module with args and PYTHONUNBUFFERED unbuffered (None: unset),
+    its stdout a pipe whose reader reads lines_read lines and then closes it;
+    0 closes it before the run starts. With output, a FIFO, that is the pipe
+    the reader leaves, and stdout is discarded. Returns the exit status and stderr."""
+    command = [sys.executable, "-m", "tweetcountry", *args]
+    env = _module_env(PYTHONUNBUFFERED=unbuffered)
+    with open(tmp_path / "stderr.txt", "w+b") as stderr:
+        if lines_read == 0:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                code = subprocess.run(command, stdout=write_end, stderr=stderr, env=env, timeout=60).returncode
+            finally:
+                os.close(write_end)
+        else:
+            with subprocess.Popen(
+                command, stdout=subprocess.DEVNULL if output else subprocess.PIPE, stderr=stderr, env=env
+            ) as process:
+                with open(output, "rb") if output else process.stdout as reader:
+                    for _ in range(lines_read):
+                        reader.readline()
+                code = process.wait(timeout=60)
+        stderr.seek(0)
+        return code, stderr.read().decode("utf-8")
+
+
+def write_distinct_coordinates(path, lines=2000):
+    """Raw tweets that label NL, each at its own point, so each adds a cache
+    entry; their output fills a pipe's buffer several times over."""
+    with path.open("w", encoding="utf-8") as handle:
+        for index in range(lines):
+            handle.write(json.dumps({"id": str(index), "lat": round(52 + index / 10_000, 4), "lon": 4.4843}) + "\n")
+
+
+_UNBUFFERED = pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@_UNBUFFERED
+@pytest.mark.parametrize("command", ["label", "classify"])
+def test_reader_leaving_dev_stdout_ends_the_run_quietly(tmp_path, model_file, command, unbuffered):
+    raw, cache = tmp_path / "raw.ndjson", tmp_path / "cache.tsv"
+    write_distinct_coordinates(raw)
+    args = [command, "--input", str(raw), "--output", "/dev/stdout", "--cache", str(cache)]
+    if command == "classify":
+        args += ["--model", str(model_file)]
+    assert _reader_leaves(args, unbuffered, tmp_path) == (EXIT_CLOSED_PIPE, "")
+    assert list(tmp_path.glob(".*.tmp")) == []
+    if command == "label":
+        # Every entry appended before the break is whole and loads.
+        text = cache.read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        assert len(GeocodeCache(cache)) == text.count("\n") > 0
+
+
+@_UNBUFFERED
+def test_reader_leaving_before_the_train_summary_keeps_the_whole_model(tmp_path, labeled_file, unbuffered, capsys):
+    model = tmp_path / "trained.json"
+    args = ["train", "--input", str(labeled_file), "--model", str(model)]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    whole = model.read_bytes()
+    model.unlink()
+    assert _reader_leaves(args, unbuffered, tmp_path, lines_read=0) == (EXIT_CLOSED_PIPE, "")
+    assert model.read_bytes() == whole
+    assert list(tmp_path.glob(".*.tmp")) == []
+
+
+@_UNBUFFERED
+def test_reader_leaving_before_the_cache_stats_summary_ends_the_run_quietly(tmp_path, unbuffered):
+    cache = tmp_path / "cache.tsv"
+    cache.write_text("paris\tFR\tgazetteer\t2024-01-01\n", encoding="utf-8")
+    assert _reader_leaves(["cache", "stats", "--cache", str(cache)], unbuffered, tmp_path, lines_read=0) == (
+        EXIT_CLOSED_PIPE,
+        "",
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_reader_leaving_a_fifo_output_is_an_input_error(tmp_path):
+    raw, fifo = tmp_path / "raw.ndjson", tmp_path / "out.fifo"
+    write_distinct_coordinates(raw)
+    os.mkfifo(fifo)
+    code, err = _reader_leaves(["label", "--input", str(raw), "--output", str(fifo)], None, tmp_path, output=fifo)
+    assert (code, err) == (EXIT_INPUT, f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
@@ -1808,6 +1967,19 @@ def test_train_rejects_alpha_that_is_not_finite(tmp_path, labeled_file, capsys, 
     # Rejected before any record is read: no model, and no geocode lookups cached.
     assert not model.exists()
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_max_in_flight_below_one_fails_before_any_input_is_read(tmp_path, capsys, monkeypatch, given):
+    _forbid_reading(monkeypatch)
+    cache = tmp_path / "cache.tsv"
+    cache.write_text("paris\tFR\tgazetteer\t2024-01-01\n", encoding="utf-8")
+    config = tmp_path / "run.conf"
+    config.write_text("max_in_flight = 0\n", encoding="utf-8")
+    argv = ["label", "--input", str(tmp_path / "raw.ndjson"), "--output", str(tmp_path / "out.ndjson")]
+    argv += ["--cache", str(cache), *(["--max-in-flight", "0"] if given == "flag" else ["--config", str(config)])]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: max_in_flight must be at least 1\n"
 
 
 @pytest.mark.parametrize("alpha", ["NaN", "Infinity"])

@@ -35,10 +35,10 @@ from tweetcountry.cli import (
     EXIT_INPUT,
     EXIT_MODEL,
     EXIT_OK,
+    Run,
     build_parser,
     main,
     parse_config_file,
-    resolve_config,
 )
 from tweetcountry.errors import ConflictingEntry, CorruptModel, GeocodingError, MalformedInput, TweetCountryError
 from tweetcountry.evaluation import _parse_region, load_labeled_ndjson, load_region
@@ -713,7 +713,7 @@ def _files(run_dir) -> dict[str, bytes]:
 def _resolved_cache(argv) -> str | None:
     """The --cache a run resolves to, or None if its config does not resolve."""
     try:
-        return resolve_config(build_parser(argv).parse_args(argv)).cache
+        return Run(build_parser(argv).parse_args(argv)).cache
     except (ValueError, OSError):
         return None
 
